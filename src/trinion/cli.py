@@ -230,12 +230,18 @@ def cmd_bracket(cfg, kind, args):
 
 def cmd_holonomy(cfg, args):
     cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()
+    if args.contour not in cat.contours:
+        raise SchemaError(f"unknown contour {args.contour!r}; "
+                          f"the catalogue has {', '.join(sorted(cat.contours))}")
     contour = cat.contours[args.contour]
     if args.residues:
-        with open(args.residues) as fh:
-            data = json.load(fh)
-        x1 = _serialize.matrix_from_json(data["X1"])
-        x2 = _serialize.matrix_from_json(data["X2"])
+        try:
+            with open(args.residues) as fh:
+                data = json.load(fh)
+            x1 = _serialize.matrix_from_json(data["X1"])
+            x2 = _serialize.matrix_from_json(data["X2"])
+        except (OSError, ValueError, KeyError) as exc:
+            raise SchemaError(f"cannot read residues {args.residues}: {exc!r}") from exc
     else:
         ctx = build_algebra(cfg["n"])
         rng = np.random.default_rng(cfg["seed"])

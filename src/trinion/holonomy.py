@@ -3,9 +3,15 @@
 The surface is the plane with holes at +1, -1 and infinity, basepoint 0.
 Connections have the form ``A(z) = s (X1/(z-1) + X2/(z+1)) dz`` with
 anti-Hermitian residues and ``s = t/pi``; the residue at infinity is
-``X3 = -(X1+X2)``.  Transport solves ``dPsi = -A(z(s)) z'(s) Psi`` with an
-adaptive embedded Runge-Kutta 5(4) pair and per-step determinant
-renormalization, so constant gauge transformations conjugate holonomies.
+``X3 = -(X1+X2)``.  Transport solves ``dPsi = -A(z(s)) z'(s) Psi`` along each
+segment by adaptive panels: a panel's propagator is ``expm(Omega)`` with
+``Omega`` the sixth-order Magnus exponent from three Gauss-Legendre nodes.
+Since ``A`` is a scalar combination of ``X1`` and ``X2``, every ``Omega`` is a
+combination of ten fixed brackets of the residues, and the exponentials of a
+whole stack of panels and connections are evaluated together.  Panels are
+refined by step doubling until the error per unit parameter length is at most
+``tol``.  ``Omega`` is traceless, so holonomies have unit determinant up to
+rounding, and constant gauge transformations conjugate them.
 
 Orientation conventions, fixed by the spectral targets: the catalogue hole
 loops around +1 and -1 run clockwise and the outer loop counterclockwise,
@@ -262,64 +268,173 @@ def xi_map(x1, x2, x3=None, t=np.pi, tol=1e-8):
 # transport
 # ---------------------------------------------------------------------------
 
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# Sixth-order Magnus step from three Gauss-Legendre nodes (Blanes, Casas and
+# Ros, BIT 40 (2000)).  With A_i = h M(s0 + c_i h) and a_k = sum_i W[k, i] A_i,
+#   Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240,
+#   C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60.
+# Every a_k is p_k X1 + q_k X2 with scalar p_k, q_k, so Omega is a scalar
+# combination of the ten fixed brackets of _bracket_basis.
+_GL_NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_MAGNUS_W = np.array([[0.0, 1.0, 0.0],
+                      [-np.sqrt(15.0) / 3.0, 0.0, np.sqrt(15.0) / 3.0],
+                      [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+
+# Pade approximants of degree 3, 5, 7, 9 and 13 with the 1-norm bounds up to
+# which each is accurate to double precision, largest degree last
+_PADE = [
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                         30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                         960960.0, 16380.0, 182.0, 1.0)),
 ]
-_DP_B5 = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0])
-_DP_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
+
+# a step-doubling estimate at or below this is rounding noise: the panel is resolved
+_ROUNDOFF = 64.0 * np.finfo(float).eps
+_MIN_PANEL = 1e-12
+# matrices per exponential stack; bounds the memory of one evaluation
+_CHUNK = 768
 
 
-def _transport(rhs, psi, tol):
-    """Advance Psi' = rhs(s) @ Psi over s in [0, 1]; error per unit length <= tol."""
-    n = psi.shape[-1]
-    s, h = 0.0, 0.1
-    while s < 1.0 - 1e-13:
-        h = min(h, 1.0 - s)
-        ks = []
-        for i in range(7):
-            y = psi
-            for j, a in enumerate(_DP_A[i]):
-                if a:
-                    y = y + (h * a) * ks[j]
-            ks.append(rhs(s + _DP_C[i] * h) @ y)
-        p5 = psi + h * sum(b * k for b, k in zip(_DP_B5, ks) if b)
-        p4 = psi + h * sum(b * k for b, k in zip(_DP_B4, ks) if b)
-        err = np.max(np.abs(p5 - p4)) / max(1.0, np.max(np.abs(p5)))
-        target = tol * h
-        if not np.isfinite(err):
-            h *= 0.2
-            if h < 1e-12:
-                raise ToleranceNotMet("non-finite transport state")
-            continue
-        if err <= target:
-            s += h
-            det = np.linalg.det(p5)
-            # det drift correction is meaningful only while det is resolvable
-            if p5.ndim == 3:
-                good = np.isfinite(det) & (np.abs(det - 1.0) < 0.5)
-                det = np.where(good, det, 1.0)
-                psi = p5 / det[..., None, None] ** (1.0 / n)
-            else:
-                psi = p5 / det ** (1.0 / n) if np.isfinite(det) and abs(det - 1.0) < 0.5 else p5
-        fac = 0.9 * (target / err) ** 0.2 if err > 0 else 4.0
-        h *= min(4.0, max(0.2, fac))
-        if h < 1e-12:
-            raise ToleranceNotMet("adaptive step size underflow")
+def _expm(a):
+    """Matrix exponential of every matrix of a stack ``(..., n, n)``.
+
+    Uses the Pade approximant of lowest degree whose bound covers the largest
+    1-norm in the stack, and scaling and squaring beyond the degree-13 bound
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    top = norm.max(initial=0.0)
+    theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
+    s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
+    if s.any():
+        a = a * (0.5 ** s)[..., None, None]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    even, odd = b[0] * ident + b[2] * a2, b[1] * ident + b[3] * a2
+    power = a2
+    for j in range(4, len(b), 2):
+        power = power @ a2
+        even = even + b[j] * power
+        odd = odd + b[j + 1] * power
+    u = a @ odd
+    r = np.linalg.solve(even - u, even + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
+
+
+def _bracket_basis(x1s, x2s):
+    """``X1, X2`` and the eight brackets that span every panel exponent, ``(10, B, n, n)``."""
+    def br(a, b):
+        return a @ b - b @ a
+
+    k = br(x1s, x2s)
+    l1, l2 = br(x1s, k), br(x2s, k)
+    return np.stack([x1s, x2s, k, l1, l2, br(x1s, l1), br(x1s, l2), br(x2s, l2),
+                     br(k, l1), br(k, l2)])
+
+
+def _omega_coefficients(p, q):
+    """Coefficients of Omega on ``_bracket_basis`` from a_k = p_k X1 + q_k X2, ``(P, 10)``."""
+    (p1, p2, p3), (q1, q2, q3) = p.T, q.T
+    d = p1 * q2 - q1 * p2                     # C1 = d K
+    e = (q1 * p3 - p1 * q3) / 30.0            # C2 = e K + f1 L1 + f2 L2
+    f1, f2 = -d * p1 / 60.0, -d * q1 / 60.0
+    u1, u2 = -20.0 * p1 - p3, -20.0 * q1 - q3  # -20 a1 - a3 + C1 = u1 X1 + u2 X2 + d K
+    return np.stack([p1 + p3 / 12.0, q1 + q3 / 12.0,
+                     (u1 * q2 - u2 * p2) / 240.0, (u1 * e - d * p2) / 240.0,
+                     (u2 * e - d * q2) / 240.0, u1 * f1 / 240.0,
+                     (u1 * f2 + u2 * f1) / 240.0, u2 * f2 / 240.0,
+                     d * f1 / 240.0, d * f2 / 240.0], axis=1)
+
+
+def _magnus_propagators(seg, s0, h, basis, scale):
+    """Magnus propagators of the panels ``[s0_i, s0_i + h_i]``, shape ``(P, B, n, n)``."""
+    s = s0[:, None] + h[:, None] * _GL_NODES
+    w = (-scale) * seg.dz(s) * h[:, None]
+    z = seg.z(s)
+    coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
+    omega = (coef @ basis.reshape(len(basis), -1)).reshape((len(s0),) + basis.shape[1:])
+    if not np.isfinite(omega).all():
+        raise ToleranceNotMet("non-finite transport state")
+    return _expm(omega)
+
+
+def _step_doubling(seg, s0, h, basis, scale):
+    """Propagators of the panels as the product of their halves, and their errors.
+
+    The error of a panel is the largest entry of the difference between the
+    one-panel and the two-half propagator over the batch, relative to the
+    larger of the two, so it is at most 2.
+    """
+    m = len(s0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _magnus_propagators(seg, np.concatenate([s0, s0, s0 + h / 2]),
+                                np.concatenate([h, h / 2, h / 2]), basis, scale)
+        half = e[2 * m:] @ e[m:2 * m]
+        size = np.maximum(np.abs(half).max(axis=(1, 2, 3)), np.abs(e[:m]).max(axis=(1, 2, 3)))
+        err = np.abs(half - e[:m]).max(axis=(1, 2, 3)) / np.maximum(1.0, size)
+    # a panel too coarse for its exponential to be finite is as unresolved as can be
+    return half, np.where(np.isfinite(err), err, 2.0)
+
+
+def _transport_segment(seg, psi, basis, scale, tol):
+    """Advance the transports ``psi`` over one segment by adaptive Magnus panels.
+
+    Each panel is compared with its two halves (step doubling) and the halves
+    are kept.  Panels are shared by the whole batch, so the error is the
+    maximum over the stack.  A panel whose error exceeds ``tol * h`` is split
+    into ``ceil((err / (tol h))^(1/6))`` pieces, since the local error of the
+    sixth-order step scales as ``h^7``.  Resolved panels are folded into
+    ``psi`` in path order as soon as every panel before them is resolved, so
+    only a few chunks of propagators are held at a time.  Overflow of ``psi``
+    ends the transport, which bounds the work any input can cause.
+    """
+    per_call = max(1, _CHUNK // (3 * basis.shape[1]))
+    todo = [[0.0, 1.0, None]]      # [start, width, propagator]; todo[-1] is next on the path
+    while todo:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while todo and todo[-1][2] is not None:
+                psi = todo.pop()[2] @ psi
+        if not np.isfinite(psi).all():
+            raise ToleranceNotMet("holonomy overflows")
+        cut, pending = len(todo), []
+        while cut and len(pending) < per_call:
+            cut -= 1
+            if todo[cut][2] is None:
+                pending.append(todo[cut])
+        if not pending:
+            break
+        s0, h = np.array([t[:2] for t in pending]).T
+        props, err = _step_doubling(seg, s0, h, basis, scale)
+        target = np.maximum(tol * h, _ROUNDOFF)
+        pieces = {}
+        for t, p, e, goal in zip(pending, props, err, target):
+            if e <= goal:
+                t[2] = p
+                continue
+            k = max(2, int(np.ceil((e / goal) ** (1.0 / 6.0))))
+            w = t[1] / k
+            if w < _MIN_PANEL:
+                raise ToleranceNotMet("adaptive panel width underflow")
+            pieces[id(t)] = [[t[0] + j * w, w, None] for j in reversed(range(k))]
+        todo[cut:] = [u for t in todo[cut:] for u in pieces.get(id(t), (t,))]
     return psi
 
 
-def _check_pole(z):
-    for p in POLES:
-        if abs(z - p) < 0.9 * POLE_MARGIN:
-            raise PoleTooClose(f"contour point {z:.4f} within margin of pole {p}")
+def _check_path(segs):
+    for seg in segs:
+        d = seg.pole_distance()
+        if d < 0.9 * POLE_MARGIN:
+            raise PoleTooClose(f"segment from {seg.z(0.0):.4f} passes {d:.4f} "
+                               f"from a pole (margin {POLE_MARGIN})")
 
 
 def holonomy(conn, contour, tol=1e-10):
@@ -327,20 +442,10 @@ def holonomy(conn, contour, tol=1e-10):
 
     ``contour`` may be a ``Contour`` or a bare segment list.  The result has
     unit determinant; reversing the contour inverts it and concatenation
-    composes as ``Hol(c2 o c1) = Hol(c2) Hol(c1)``.
+    composes as ``Hol(c2 o c1) = Hol(c2) Hol(c1)``.  This is
+    ``holonomy_batch`` on a batch of one.
     """
-    segs = contour.segments if isinstance(contour, Contour) else contour
-    n = conn.n
-    psi = np.eye(n, dtype=complex)
-    for seg in segs:
-        _check_pole(seg.z(0.0))
-
-        def rhs(s, seg=seg):
-            z = seg.z(s)
-            return -conn(z) * seg.dz(s)
-
-        psi = _transport(rhs, psi, tol)
-    return psi
+    return holonomy_batch(conn.X1[None], conn.X2[None], conn.scale, contour, tol)[0]
 
 
 def _slice_segment(seg, sa, sb):
@@ -373,32 +478,30 @@ def _split_at_checkpoints(segs, checkpoints):
 
 
 def holonomy_batch(x1s, x2s, scale, contour, tol=1e-10, checkpoints=None):
-    """Transport a stack of connections (shared contour) in one adaptive run.
+    """Transport a stack of connections along a shared contour.
 
-    With ``checkpoints`` (a list of ``(segment index, parameter)`` pairs) the
+    ``x1s`` and ``x2s`` are ``(B, n, n)`` residue stacks.  The panels are
+    shared by the stack (refined until every connection meets ``tol``), so
+    the transports of nearby connections see one discretisation.  With
+    ``checkpoints`` (a list of ``(segment index, parameter)`` pairs) the
     prefix transports up to each checkpoint are returned as well, so one pass
     provides the holonomy re-based at every marked point.
     """
     segs = contour.segments if isinstance(contour, Contour) else list(contour)
-    x1s = np.asarray(x1s)
-    x2s = np.asarray(x2s)
-    b, n, _ = x1s.shape
+    _check_path(segs)
+    x1s = np.asarray(x1s, dtype=complex)
+    x2s = np.asarray(x2s, dtype=complex)
     if checkpoints:
         segs, positions = _split_at_checkpoints(segs, checkpoints)
-    psi = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)).copy()
+    basis = _bracket_basis(x1s, x2s)
+    psi = np.broadcast_to(np.eye(x1s.shape[-1], dtype=complex), x1s.shape)
     prefixes = {}
     for si, seg in enumerate(segs):
-        _check_pole(seg.z(0.0))
-
-        def rhs(s, seg=seg):
-            z = seg.z(s)
-            return (-scale * seg.dz(s)) * (x1s / (z - 1.0) + x2s / (z + 1.0))
-
-        psi = _transport(rhs, psi, tol)
+        psi = _transport_segment(seg, psi, basis, scale, tol)
         if checkpoints:
             for which, pos in enumerate(positions):
                 if pos == si + 1:
-                    prefixes[which] = psi.copy()
+                    prefixes[which] = psi
     if checkpoints:
         return psi, [prefixes[i] for i in range(len(checkpoints))]
     return psi
@@ -459,9 +562,6 @@ class Catalogue:
         self.contours = contours
         self.pair_names = pair_names
         self.hole_names = hole_names
-
-    def pairs(self):
-        return [(self.contours[a], self.contours[b]) for a, b in self.pair_names]
 
     def validate(self):
         for c in self.contours.values():

@@ -235,35 +235,6 @@ def suite_xi_geometry(seed=0, ns=(2, 3), count=20, t=np.pi):
 # 5. main identity, connection side
 # ---------------------------------------------------------------------------
 
-def _kk_through_connection(ctx, ca, cb, x1, x2, fd_step, ode_tol):
-    """Orbit bracket of the two holonomy traces, by batched differences."""
-    nb = ctx.dim_compact
-    stack1, stack2 = [x1], [x2]
-    for b in ctx.compact_basis:
-        stack1 += [x1 + fd_step * b, x1 - fd_step * b]
-        stack2 += [x2, x2]
-    for b in ctx.compact_basis:
-        stack1 += [x1, x1]
-        stack2 += [x2 + fd_step * b, x2 - fd_step * b]
-    s1, s2 = np.array(stack1), np.array(stack2)
-    tra = np.trace(holonomy_batch(s1, s2, 1.0, ca, ode_tol), axis1=-2, axis2=-1)
-    trb = np.trace(holonomy_batch(s1, s2, 1.0, cb, ode_tol), axis1=-2, axis2=-1)
-
-    def grads(tr):
-        g = [(tr[1 + 2 * a] - tr[2 + 2 * a]) / (2 * fd_step) for a in range(2 * nb)]
-        return np.array(g[:nb]), np.array(g[nb:])
-
-    ga1, ga2 = grads(tra)
-    gb1, gb2 = grads(trb)
-    out = 0j
-    scale = max(1.0, np.max(np.abs(tra)), np.max(np.abs(trb)))
-    for point, ga, gb in ((x1, ga1, gb1), (x2, ga2, gb2)):
-        m1 = np.einsum("a,aij->ij", ga, ctx.compact_basis)
-        m2 = np.einsum("a,aij->ij", gb, ctx.compact_basis)
-        out += -np.trace(point @ (m1 @ m2 - m2 @ m1))
-    return out, scale
-
-
 def _kk_from_gradients(ctx, x1, x2, ga, gb):
     out = 0j
     for point, g1, g2 in ((x1, ga[0], gb[0]), (x2, ga[1], gb[1])):

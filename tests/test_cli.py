@@ -117,3 +117,16 @@ def test_holonomy_command(tmp_path):
     payload = json.loads(out.read_text())
     h = np.array([[complex(a, b) for a, b in row] for row in payload["holonomy"]])
     assert abs(np.linalg.det(h) - 1.0) < 1e-9
+
+
+def test_holonomy_unknown_contour_exit_2(capsys):
+    assert run(["holonomy", "no_such_loop"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "no_such_loop" in err and len(err.splitlines()) == 1
+
+
+def test_holonomy_missing_residues_exit_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert run(["holonomy", "gamma1", "--residues", str(missing)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "absent.json" in err and len(err.splitlines()) == 1

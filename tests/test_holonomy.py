@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from trinion.errors import (ConstraintViolated, GeometryError, PoleTooClose,
-                            SchemaError, SpectralMismatch)
+                            SchemaError, SpectralMismatch, ToleranceNotMet)
 from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnection,
                               builtin_catalogue, goldman_function,
                               hole_conjugacy_check, holonomy, holonomy_batch,
@@ -11,6 +11,8 @@ from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnecti
                               resolved_segments, sigma_check, word_segments, xi_map)
 from trinion.lie_core import build_algebra, weyl_normalize
 from trinion.orbits import solve_moment_zero
+
+from rk45_reference import dp_holonomy
 
 RNG = np.random.default_rng(17)
 CTX2 = build_algebra(2)
@@ -98,16 +100,66 @@ def test_word_product_identity():
 
 
 def test_integrator_order():
-    """Halving the tolerance must not increase the observed error."""
+    """Commuting case: exact. Non-commuting case: sixth order, converging to RK45.
+
+    On a single-pole loop A(s) commutes with itself, so every Magnus panel is
+    exact and the error is rounding noise at any tolerance.  On eight_narrow
+    at n = 3 the error must fall as tol tightens and stay below 2 tol relative
+    to the holonomy (tol per unit parameter length, two unit segments).
+    """
     x = CTX2.random_compact(RNG, 0.5)
     conn = RationalConnection(X1=x, X2=np.zeros((2, 2)), scale=1.0)
     exact = expm(2j * np.pi * x)
+    for tol in (1e-6, 1e-8, 1e-10):
+        assert np.linalg.norm(holonomy(conn, CAT.contours["gamma1"], tol) - exact) < 1e-8
+
+    rng = np.random.default_rng(3)
+    conn = RationalConnection(X1=CTX3.random_compact(rng, 0.2),
+                              X2=CTX3.random_compact(rng, 0.2), scale=1.0)
+    eight = CAT.contours["eight_narrow"]
+    ref = dp_holonomy(conn, eight, 1e-12)
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
-        h = holonomy(conn, CAT.contours["gamma1"], tol)
-        errs.append(np.linalg.norm(h - exact))
-    assert errs[2] < errs[0]
-    assert errs[2] < 1e-8
+        err = np.linalg.norm(holonomy(conn, eight, tol) - ref) / np.linalg.norm(ref)
+        assert err < 2 * tol
+        errs.append(err)
+    assert errs[0] > errs[1] > errs[2]
+
+    # the panel rule itself is sixth order: doubling uniform panels cuts the
+    # error by about 2^6 (adaptive refinement would hide a lower order)
+    from trinion.holonomy import _bracket_basis, _magnus_propagators
+
+    basis = _bracket_basis(conn.X1[None], conn.X2[None])
+
+    def uniform(m):
+        psi = np.eye(3, dtype=complex)
+        for seg in eight.segments:
+            for e in _magnus_propagators(seg, np.arange(m) / m, np.full(m, 1.0 / m),
+                                         basis, conn.scale):
+                psi = e[0] @ psi
+        return psi
+
+    coarse, fine = (np.linalg.norm(uniform(m) - ref) for m in (32, 64))
+    assert coarse / fine > 40
+
+
+def test_su2_trace_oracle():
+    """Fricke identities at n = 2, independent of any ODE solver.
+
+    With c_j = 2 cosh(2 pi lambda_j), lambda_j the spectral radius of X_j,
+    the hole relation gives tr Hol(eight_narrow) = c1 c2 - c3 and
+    tr Hol(double_wind) = c2 c3 - c1.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x1, x2 = CTX2.random_compact(rng, 0.3), CTX2.random_compact(rng, 0.3)
+        c1, c2, c3 = (2.0 * np.cosh(2.0 * np.pi * np.max(np.abs(np.linalg.eigvals(x))))
+                      for x in (x1, x2, -(x1 + x2)))
+        conn = RationalConnection(X1=x1, X2=x2, scale=1.0)
+        for tol in (1e-10, 1e-12):
+            for name, want in (("eight_narrow", c1 * c2 - c3), ("double_wind", c2 * c3 - c1)):
+                got = np.trace(holonomy(conn, CAT.contours[name], tol))
+                assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_batch_matches_single_and_checkpoints():
@@ -134,6 +186,24 @@ def test_pole_too_close():
     conn = RationalConnection(X1=x, X2=np.zeros((2, 2)), scale=1.0)
     with pytest.raises(PoleTooClose):
         holonomy(conn, [LineSegment(1.05, 2.0)])
+    # starts 0.98 from the poles but passes 0.02 from +1 halfway along
+    with pytest.raises(PoleTooClose):
+        holonomy(conn, [ArcSegment(0.0, 0.98, np.pi / 2, -np.pi / 2)])
+    with pytest.raises(PoleTooClose):
+        holonomy_batch(x[None], np.zeros((1, 2, 2)), 1.0,
+                       [ArcSegment(0.0, 0.98, np.pi / 2, -np.pi / 2)])
+
+
+def test_unreachable_tolerance_raises():
+    """Inputs the transport cannot resolve raise instead of running on."""
+    nan = RationalConnection(X1=np.full((2, 2), np.nan), X2=np.zeros((2, 2)), scale=1.0)
+    with pytest.raises(ToleranceNotMet):
+        holonomy(nan, CAT.contours["gamma1"])
+    rng = np.random.default_rng(0)
+    huge = RationalConnection(X1=CTX2.random_compact(rng, 1e6),
+                              X2=CTX2.random_compact(rng, 1e6), scale=1.0)
+    with pytest.raises(ToleranceNotMet):
+        holonomy(huge, CAT.contours["eight_narrow"])
 
 
 # ---------------------------------------------------------------------------
