@@ -28,7 +28,7 @@ from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
 from .orbits import NoSolution, kk_bracket, solve_moment_kstar, solve_moment_zero
-from .verify import SUITES, run_suites
+from .verify import SUITES, _random_sl, run_suites
 
 DEFAULT_CONFIG = {
     "n": 2,
@@ -52,22 +52,38 @@ def load_config(path):
             raise SchemaError(f"cannot read config: {exc}") from exc
         if not isinstance(user, dict):
             raise SchemaError("config must be a JSON object")
+        tolerances = user.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise SchemaError("tolerances must be a JSON object")
         cfg.update(user)
+        cfg["tolerances"] = {**DEFAULT_CONFIG["tolerances"], **tolerances}
     validate_config(cfg)
     return cfg
+
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def validate_config(cfg):
     n = cfg["n"]
     if not isinstance(n, int) or n < 2:
         raise SchemaError("n must be an integer >= 2")
+    if not _is_number(cfg["t"]):
+        raise SchemaError("t must be a number")
     for key, val in cfg["tolerances"].items():
+        if not _is_number(val):
+            raise SchemaError(f"tolerance {key} must be a number")
         if key == "check_scale":
             if val < 0:
                 raise SchemaError("check_scale must be nonnegative")
         elif not val > 0:
             raise SchemaError(f"tolerance {key} must be positive")
-    for th in cfg["thetas"]:
+    thetas = cfg["thetas"]
+    if not isinstance(thetas, list) or not all(
+            isinstance(th, list) and all(_is_number(x) for x in th) for th in thetas):
+        raise SchemaError("thetas must be a list of spectra, each a list of numbers")
+    for th in thetas:
         weyl_normalize(th)
     if cfg["u"] is not None:
         u = np.asarray(cfg["u"], dtype=float)
@@ -141,6 +157,8 @@ def cmd_verify(cfg):
 
 
 def cmd_solve(cfg, level):
+    if len(cfg["thetas"]) != 3 or any(len(th) != cfg["n"] for th in cfg["thetas"]):
+        raise SchemaError(f"thetas must be three spectra of length n = {cfg['n']}")
     ctx = build_algebra(cfg["n"])
     hs = [weyl_normalize(th) for th in cfg["thetas"]]
     tol = cfg["tolerances"]["constraint"]
@@ -158,6 +176,9 @@ def cmd_solve(cfg, level):
 
 
 def cmd_map(cfg, which, inputs):
+    need = 3 if which == "chi" else 2
+    if not isinstance(inputs, list) or len(inputs) < need:
+        raise SchemaError(f"map {which} needs a list of at least {need} matrices")
     ctx = build_algebra(cfg["n"])
     mats = [_serialize.matrix_from_json(m) for m in inputs]
     if which == "xi":
@@ -191,7 +212,7 @@ def cmd_bracket(cfg, kind, args):
 
     if kind == "goldman":
         cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()
-        ca, cb = cat.contours[args.contours[0]], cat.contours[args.contours[1]]
+        ca, cb = (_contour(cat, name) for name in args.contours)
         x1 = ctx.random_compact(rng, 0.3)
         x2 = ctx.random_compact(rng, 0.3)
         conn = xi_map(x1, x2, -(x1 + x2), t=cfg["t"])
@@ -205,22 +226,12 @@ def cmd_bracket(cfg, kind, args):
     elif kind == "sklyanin":
         space = {"compact": BracketSpace.CompactGroup, "dual": BracketSpace.DualGroup,
                  "double": BracketSpace.HeisenbergDouble}[args.space]
-        from scipy.linalg import expm
-
-        x = rng.normal(0, 0.5, (cfg["n"], cfg["n"])) + 1j * rng.normal(0, 0.5, (cfg["n"], cfg["n"]))
-        x -= np.trace(x) / cfg["n"] * np.eye(cfg["n"])
-        g = expm(x)
+        g = _random_sl(ctx, rng, 0.5)
         f1, f2 = entry_fn((0, 0, "re")), entry_fn((0, 1, "im"))
         payload = {"value": sklyanin_eval(ctx, space, f1, f2, g, rm, fd_step=fd)}
     else:  # fr
         fig = figure_three()
-        from scipy.linalg import expm
-
-        gs = []
-        for _ in range(3):
-            x = rng.normal(0, 0.4, (cfg["n"], cfg["n"])) + 1j * rng.normal(0, 0.4, (cfg["n"], cfg["n"]))
-            x -= np.trace(x) / cfg["n"] * np.eye(cfg["n"])
-            gs.append(expm(x))
+        gs = [_random_sl(ctx, rng, 0.4) for _ in range(3)]
         f1, f2 = entry_fn((0, 0, "re")), entry_fn((0, 1, "im"))
         rep = fr_vs_kstar(ctx, fig, 0, f1, 0, f2, gs, rm, t=cfg["t"], u=u)
         payload = rep
@@ -228,12 +239,16 @@ def cmd_bracket(cfg, kind, args):
     return 0
 
 
+def _contour(cat, name):
+    if name not in cat.contours:
+        raise SchemaError(f"unknown contour {name!r}; "
+                          f"the catalogue has {', '.join(sorted(cat.contours))}")
+    return cat.contours[name]
+
+
 def cmd_holonomy(cfg, args):
     cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()
-    if args.contour not in cat.contours:
-        raise SchemaError(f"unknown contour {args.contour!r}; "
-                          f"the catalogue has {', '.join(sorted(cat.contours))}")
-    contour = cat.contours[args.contour]
+    contour = _contour(cat, args.contour)
     if args.residues:
         try:
             with open(args.residues) as fh:
@@ -306,8 +321,11 @@ def main(argv=None):
             if args.which == "chi" and not args.input:
                 raise SchemaError("map chi requires --input with three matrices")
             if args.input:
-                with open(args.input) as fh:
-                    inputs = json.load(fh)["matrices"]
+                try:
+                    with open(args.input) as fh:
+                        inputs = json.load(fh)["matrices"]
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    raise SchemaError(f"cannot read matrices {args.input}: {exc!r}") from exc
             else:
                 ctx = build_algebra(cfg["n"])
                 rng = np.random.default_rng(cfg["seed"])

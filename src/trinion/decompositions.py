@@ -9,7 +9,8 @@ QR.  The mirrored order ``g = k* k`` defines the starred-left projections.
 
 Derivative conventions for the bracket evaluators: ``grad_L psi(g)[v] =
 d/ds psi(exp(s v) g)`` and ``grad_R psi(g)[v] = d/ds psi(g exp(s v))``,
-computed by central differences over the real basis.
+computed by central differences over the real basis with the step
+exponentials cached on the algebra context.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import EvaluationError, InvalidSK
-from .lie_core import bar
+from .errors import InvalidSK
+from .lie_core import _central_differences, bar
 
 __all__ = [
     "KStarElement",
@@ -56,15 +56,9 @@ def _theta_twist(ctx, u, theta):
 
 @dataclass
 class KStarElement:
-    """Element of the twisted dual group: upper triangular, det 1.
-
-    ``cartan_log`` holds the Cartan coordinates of the diagonal logarithm,
-    i.e. the (n-1)-vector ``a`` with diagonal ``exp(-theta - i U theta)``
-    where ``theta = frame^T a``.
-    """
+    """Element of the twisted dual group: upper triangular, det 1."""
 
     matrix: np.ndarray
-    cartan_log: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -77,7 +71,7 @@ class KStarElement:
         """Spectrum vector of the diagonal moduli, exp(-theta_j) = |diag_j|."""
         return -np.log(np.abs(np.diagonal(self.matrix)))
 
-    def inverse(self, ctx, u=None):
+    def inverse(self, ctx):
         return kstar_from_matrix(ctx, np.linalg.inv(self.matrix))
 
     def phase_residual(self, ctx, u=None):
@@ -90,8 +84,7 @@ class KStarElement:
 
 def kstar_from_matrix(ctx, m):
     """Wrap an upper triangular matrix as a dual-group element."""
-    theta = -np.log(np.abs(np.diagonal(m)))
-    return KStarElement(matrix=np.asarray(m, dtype=complex), cartan_log=ctx.cartan_frame @ theta)
+    return KStarElement(matrix=np.asarray(m, dtype=complex))
 
 
 @dataclass
@@ -121,13 +114,12 @@ class BracketSpace(enum.Enum):
 # factorizations
 # ---------------------------------------------------------------------------
 
-def iwasawa(ctx, g, t=1.0, u=None):
+def iwasawa(ctx, g, u=None):
     """Factor ``g = k * kstar`` with k unitary and kstar in the twisted dual group.
 
     QR on the columns gives the positive-diagonal triangular factor; the
     twist is applied as a commuting diagonal phase split so the dual-group
-    diagonal condition holds.  ``t`` labels the Poisson family and does not
-    enter the factorization.
+    diagonal condition holds.
     """
     g = np.asarray(g, dtype=complex)
     q, r = np.linalg.qr(g)
@@ -143,10 +135,10 @@ def iwasawa(ctx, g, t=1.0, u=None):
     return k, kstar_from_matrix(ctx, kstar)
 
 
-def iwasawa_dual(ctx, g, t=1.0, u=None):
+def iwasawa_dual(ctx, g, u=None):
     """Mirrored factorization ``g = kstar * k``."""
     g = np.asarray(g, dtype=complex)
-    k_inv, ks_inv = iwasawa(ctx, np.linalg.inv(g), t, u)
+    k_inv, ks_inv = iwasawa(ctx, np.linalg.inv(g), u)
     kstar = np.linalg.inv(ks_inv.matrix)
     k = np.linalg.inv(k_inv)
     return kstar_from_matrix(ctx, kstar), k
@@ -178,7 +170,7 @@ def f_map(kstar):
     return SKElement(matrix=m @ bar(m))
 
 
-def f_inverse(ctx, s, t=1.0, u=None):
+def f_inverse(ctx, s, u=None):
     """Invert f by reverse Cholesky (UL factorization) plus the phase twist.
 
     Raises ``InvalidSK`` when ``s`` is not Hermitian positive definite.
@@ -206,7 +198,7 @@ def e_map(ctx, x, t=1.0, u=None):
         x = x.matrix
     w, v = np.linalg.eigh(1j * np.asarray(x))
     s = (v * np.exp(2.0 * t * w)) @ v.conj().T
-    return f_inverse(ctx, SKElement(matrix=s), t, u)
+    return f_inverse(ctx, SKElement(matrix=s), u)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,7 @@ def moment_maps(ctx, g, u=None):
     """
     m_left = pi_star_L(ctx, g, u=u)
     m_right = pi_star_R(ctx, g, u=u)
-    return m_left, m_right.inverse(ctx, u)
+    return m_left, m_right.inverse(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +237,9 @@ def group_gradients(ctx, psi, g, fd_step=1e-5):
     Returns ``(grad_L, grad_R)`` with ``grad_L[a] = d/ds psi(exp(s t_a) g)``
     and ``grad_R[a] = d/ds psi(g exp(s t_a))``.
     """
-    rb = ctx.real_basis
-    gl = np.empty(len(rb))
-    gr = np.empty(len(rb))
-    for a, t in enumerate(rb):
-        ep, em = expm(fd_step * t), expm(-fd_step * t)
-        gl[a] = (psi(ep @ g) - psi(em @ g)) / (2 * fd_step)
-        gr[a] = (psi(g @ ep) - psi(g @ em)) / (2 * fd_step)
-    if not (np.all(np.isfinite(gl)) and np.all(np.isfinite(gr))):
-        raise EvaluationError("test function returned a non-finite value")
+    eps, ems = ctx.fd_exponentials(fd_step)
+    gl = _central_differences(psi, [e @ g for e in eps], [e @ g for e in ems], fd_step)
+    gr = _central_differences(psi, [g @ e for e in eps], [g @ e for e in ems], fd_step)
     return gl, gr
 
 

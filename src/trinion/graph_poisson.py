@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .decompositions import pi_R, pi_star_L
-from .errors import EvaluationError, MissingIntersectionData, SchemaError
+from .errors import MissingIntersectionData, SchemaError
 from .holonomy import ArcSegment, arc_crossings, holonomy, resolved_segments
-from .lie_core import bar
+from .lie_core import _central_differences, bar
 
 __all__ = [
     "CiliatedGraph",
@@ -134,26 +133,18 @@ def reality_project(graph, conn):
 
 
 def _end_covector(ctx, psi, conn, edge, which, fd_step):
-    out = np.empty(len(ctx.real_basis))
+    """Left gradient of psi in ``edge`` at a target end, minus the right one at a source end."""
     base = conn[edge]
-    tweaked = GraphConnection(conn)
-    for a, t in enumerate(ctx.real_basis):
-        ep, em = expm(fd_step * t), expm(-fd_step * t)
-        if which == "tgt":
-            tweaked[edge] = ep @ base
-            up = psi(tweaked)
-            tweaked[edge] = em @ base
-            dn = psi(tweaked)
-        else:
-            tweaked[edge] = base @ em
-            up = psi(tweaked)
-            tweaked[edge] = base @ ep
-            dn = psi(tweaked)
-        out[a] = (up - dn) / (2 * fd_step)
-    tweaked[edge] = base
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("test function returned a non-finite value")
-    return out
+    eps, ems = ctx.fd_exponentials(fd_step)
+
+    def tweak(m):
+        return GraphConnection(conn, **{edge: m})
+
+    if which == "tgt":
+        plus, minus = [tweak(e @ base) for e in eps], [tweak(e @ base) for e in ems]
+    else:
+        plus, minus = [tweak(base @ e) for e in ems], [tweak(base @ e) for e in eps]
+    return _central_differences(psi, plus, minus, fd_step)
 
 
 def fr_bracket(ctx, graph, psi1, psi2, conn, rmat, fd_step=1e-6):
@@ -282,6 +273,9 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
             raise MissingIntersectionData(
                 f"pair ({contour_a.name}, {contour_b.name}) has crossings but no records")
         return {"casimir_form": 0j, "trace_form": 0j, "points": []}
+    if any(d.seg_param is None or d.other_seg_param is None for d in data):
+        raise MissingIntersectionData(
+            f"pair ({contour_a.name}, {contour_b.name}) has records without crossing parameters")
 
     x1 = conn.X1[None]
     x2 = conn.X2[None]

@@ -158,7 +158,8 @@ class IntersectionDatum:
 
     def to_dict(self):
         return {"with": self.other, "point": [self.point.real, self.point.imag],
-                "sign": self.sign, "resolution_word": list(self.resolution_word)}
+                "sign": self.sign, "resolution_word": list(self.resolution_word),
+                "seg_param": self.seg_param, "other_seg_param": self.other_seg_param}
 
 
 @dataclass
@@ -171,15 +172,6 @@ class Contour:
     orientation: str = "ccw"
     tau_image: str = None
     intersections: list = field(default_factory=list)
-
-    def start(self):
-        return self.segments[0].z(0.0)
-
-    def end(self):
-        return self.segments[-1].z(1.0)
-
-    def is_loop(self):
-        return abs(self.start() - self.end()) < 1e-12
 
     def reversed(self, name=None):
         return Contour(name=name or self.name + "_inv",
@@ -756,6 +748,10 @@ def builtin_catalogue():
     return Catalogue(cont, pair_names).validate()
 
 
+def _seg_param(pair):
+    return None if pair is None else (int(pair[0]), float(pair[1]))
+
+
 def load_catalogue(path=None):
     """Load a contour catalogue from JSON, or the built-in set when no path."""
     if path is None:
@@ -775,10 +771,12 @@ def load_catalogue(path=None):
                 c.intersections.append(IntersectionDatum(
                     other=idt["with"], point=complex(*idt["point"]),
                     sign=int(idt["sign"]),
-                    resolution_word=tuple(idt["resolution_word"])))
+                    resolution_word=tuple(idt["resolution_word"]),
+                    seg_param=_seg_param(idt.get("seg_param")),
+                    other_seg_param=_seg_param(idt.get("other_seg_param"))))
             contours[c.name] = c
         pairs = [tuple(p) for p in data.get("pairs", [])]
         cat = Catalogue(contours, pairs, tuple(data.get("holes", ("gamma1", "gamma2", "gamma3"))))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed catalogue file: {exc}") from exc
     return cat.validate()

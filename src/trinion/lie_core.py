@@ -5,9 +5,9 @@ Conventions used throughout the library:
 * ``bar(X) = X†`` (conjugate transpose) on both the algebra and the group.
   The compact form is the anti-fixed set ``su(n) = {X : bar(X) = -X}`` and
   the unitary group satisfies ``bar(g) = g^{-1}``.
-* The invariant form is ``pair(X, Y) = -Tr(XY)`` (``form_scale = 1``).  It is
-  complex bilinear, positive definite on su(n), and the compact basis below
-  is orthonormal with respect to it.
+* The invariant form is ``pair(X, Y) = -Tr(XY)``.  It is complex bilinear,
+  positive definite on su(n), and the compact basis below is orthonormal
+  with respect to it.
 * ``sl(n,C)`` is treated as a real Lie algebra of dimension ``2(n^2-1)``
   with ordered basis ``[t_1..t_N, i t_1..i t_N]`` where ``t_a`` runs over
   the compact basis and ``N = n^2 - 1``.
@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import InvalidRank, InvalidSpectrum, BoundaryOrbit, InvalidTwist
+from .errors import (BoundaryOrbit, EvaluationError, InvalidRank, InvalidSpectrum,
+                     InvalidTwist)
 
 __all__ = [
     "AlgebraContext",
@@ -93,15 +95,12 @@ class AlgebraContext:
     cartan_frame : ndarray, shape (n-1, n)
         Rows ``v_m`` realizing ``cartan_basis[m] = i diag(v_m)``; maps
         diagonal spectra to Cartan coordinates.
-    form_scale : float
-        Normalization of the invariant form relative to ``-Tr``.
     """
 
     def __init__(self, n):
         if n < 2:
             raise InvalidRank(f"need n >= 2, got {n}")
         self.n = int(n)
-        self.form_scale = 1.0
         self.cartan_frame = _sum_zero_frame(n)
         cart = np.array([1j * np.diag(v) for v in self.cartan_frame])
 
@@ -131,6 +130,7 @@ class AlgebraContext:
         self.dim_compact = n * n - 1
         self.casimir = np.eye(self.dim_compact)
         self._structure = None
+        self._fd_exponentials = {}
 
     def root_generator(self, j, k):
         """Elementary matrix E_jk (j < k gives a positive root generator)."""
@@ -151,12 +151,6 @@ class AlgebraContext:
         b = -1j * (x + x.conj().T) / 2
         return np.concatenate([self.compact_coords(a), self.compact_coords(b)])
 
-    def from_real_coords(self, c):
-        half = self.dim_compact
-        return np.einsum("a,aij->ij", c[:half], self.compact_basis) + 1j * np.einsum(
-            "a,aij->ij", c[half:], self.compact_basis
-        )
-
     def structure_constants(self):
         """f[a, c, e] with [t_a, t_c] = sum_e f[a,c,e] t_e over the real basis."""
         if self._structure is None:
@@ -168,6 +162,13 @@ class AlgebraContext:
                     f[a, c, :] = self.real_coords(rb[a] @ rb[c] - rb[c] @ rb[a])
             self._structure = f
         return self._structure
+
+    def fd_exponentials(self, h):
+        """``(expm(h t_a), expm(-h t_a))`` over the real basis, built once per step."""
+        if h not in self._fd_exponentials:
+            rb = self.real_basis
+            self._fd_exponentials[h] = ([expm(h * t) for t in rb], [expm(-h * t) for t in rb])
+        return self._fd_exponentials[h]
 
     def random_compact(self, rng, scale=1.0):
         """Random element of su(n) with N(0, scale) coordinates."""
@@ -186,6 +187,16 @@ class AlgebraContext:
     def casimir_contract(self, m1, m2):
         """Sum_a Tr(t_a M) Tr(t_a N) over the compact basis."""
         return sum(np.trace(t @ m1) * np.trace(t @ m2) for t in self.compact_basis)
+
+
+def _central_differences(fn, plus, minus, h):
+    """``(fn(plus[a]) - fn(minus[a])) / 2h`` over a basis; non-finite values raise."""
+    out = np.empty(len(plus))
+    for a, (p, m) in enumerate(zip(plus, minus)):
+        out[a] = (fn(p) - fn(m)) / (2 * h)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("test function returned a non-finite value")
+    return out
 
 
 def build_algebra(n):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompositions import KStarElement, dressing_action, e_map, f_map
-from .errors import EvaluationError, IllConditioned, NonRegular
-from .lie_core import CartanVector, pair
+from .errors import IllConditioned, NonRegular
+from .lie_core import CartanVector, _central_differences, pair
 
 __all__ = [
     "OrbitPoint",
@@ -105,13 +105,10 @@ def kk_bracket(ctx, psi1, psi2, P, fd_step=1e-5):
     realized as su(n) elements; the pairing is the invariant form.
     """
     P = np.asarray(P)
-    g1 = np.empty(ctx.dim_compact)
-    g2 = np.empty(ctx.dim_compact)
-    for a, t in enumerate(ctx.compact_basis):
-        g1[a] = (psi1(P + fd_step * t) - psi1(P - fd_step * t)) / (2 * fd_step)
-        g2[a] = (psi2(P + fd_step * t) - psi2(P - fd_step * t)) / (2 * fd_step)
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
-        raise EvaluationError("test function returned a non-finite value")
+    plus = [P + fd_step * t for t in ctx.compact_basis]
+    minus = [P - fd_step * t for t in ctx.compact_basis]
+    g1 = _central_differences(psi1, plus, minus, fd_step)
+    g2 = _central_differences(psi2, plus, minus, fd_step)
     grad1 = np.einsum("a,aij->ij", g1, ctx.compact_basis)
     grad2 = np.einsum("a,aij->ij", g2, ctx.compact_basis)
     return float(pair(P, grad1 @ grad2 - grad2 @ grad1).real)
@@ -146,50 +143,82 @@ def _exp_su(ctx, w):
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def _zero_residual(ctx, hs, ks):
-    xs = [k @ h.matrix @ k.conj().T for k, h in zip(ks, hs)]
-    m = xs[0] + xs[1] + xs[2]
-    return xs, -np.real(np.einsum("bij,ji->b", ctx.compact_basis, m))
+def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, max_iter, grad_floor, stall):
+    """Damped Gauss-Newton on SU(n)^3 with exponential retractions.
 
-
-def _gauss_newton_zero(ctx, hs, ks, tol, max_iter=200):
-    """Damped Gauss-Newton for ||X1+X2+X3||; analytic Jacobian."""
+    ``residual(ks)`` returns ``(state, f)`` and ``jacobian(ks, state)`` the
+    derivative of f along ``k_i -> exp(s t_b) k_i``.  With ``stall`` it gives
+    up on residuals far above ``tol`` that 12 iterations cut by under 10%.
+    """
     nb = ctx.dim_compact
     lam = 1e-3
-    xs, f = _zero_residual(ctx, hs, ks)
+    state, f = residual(ks)
     best = np.linalg.norm(f)
     stall_ref, stall_count = best, 0
     for _ in range(max_iter):
         if best <= tol:
             break
-        comms = np.concatenate(
-            [np.einsum("aij,jk->aik", ctx.compact_basis, x)
-             - np.einsum("ij,ajk->aik", x, ctx.compact_basis) for x in xs])
-        jac = -np.real(np.einsum("bij,aji->ba", ctx.compact_basis, comms))
+        jac = jacobian(ks, state)
         g = jac.T @ f
-        if np.linalg.norm(g) < 1e-15:
+        if np.linalg.norm(g) < grad_floor:
             break
         step = np.linalg.solve(jac.T @ jac + lam * np.eye(3 * nb), -g)
         new_ks = [
             _exp_su(ctx, np.einsum("a,aij->ij", step[i * nb:(i + 1) * nb], ctx.compact_basis)) @ ks[i]
             for i in range(3)
         ]
-        xs_new, f_new = _zero_residual(ctx, hs, new_ks)
+        new_state, f_new = residual(new_ks)
         if np.linalg.norm(f_new) < best:
-            ks, xs, f = new_ks, xs_new, f_new
+            ks, state, f = new_ks, new_state, f_new
             best = np.linalg.norm(f)
             lam = max(lam * 0.3, 1e-12)
         else:
             lam *= 8.0
             if lam > 1e8:
                 break
-        # give up on stalls far above the target: residual floor reached
-        stall_count += 1
-        if stall_count >= 12:
-            if best > 1e3 * tol and best > 0.9 * stall_ref:
-                break
-            stall_ref, stall_count = best, 0
+        if stall:
+            stall_count += 1
+            if stall_count >= 12:
+                if best > 1e3 * tol and best > 0.9 * stall_ref:
+                    break
+                stall_ref, stall_count = best, 0
     return ks, best
+
+
+def _solve(ctx, residual, jacobian, seed, tol, restarts, max_iter, grad_floor, stall,
+           start=None):
+    """Restarts from ``default_rng((seed, trial))`` draws, or ``start(rng)`` at trial 0.
+
+    The first trial reaching ``tol`` wins: returns ``(trial, ks, residual)``,
+    else ``NoSolution``.
+    """
+    best = np.inf
+    for trial in range(restarts):
+        rng = np.random.default_rng((seed, trial))
+        if trial == 0 and start is not None:
+            ks = start(rng)
+        else:
+            ks = [ctx.random_unitary(rng) for _ in range(3)]
+        ks, res = _levenberg_marquardt(ctx, residual, jacobian, ks, tol, max_iter,
+                                       grad_floor, stall)
+        best = min(best, res)
+        if res <= tol:
+            return trial, ks, res
+    return NoSolution(best_residual=float(best), trials=restarts)
+
+
+def _zero_residual(ctx, hs, ks):
+    xs = [k @ h.matrix @ k.conj().T for k, h in zip(ks, hs)]
+    m = xs[0] + xs[1] + xs[2]
+    return xs, -np.real(np.einsum("bij,ji->b", ctx.compact_basis, m))
+
+
+def _zero_jacobian(ctx, xs):
+    """Analytic derivative of the zero-level residual: commutators with the basis."""
+    comms = np.concatenate(
+        [np.einsum("aij,jk->aik", ctx.compact_basis, x)
+         - np.einsum("ij,ajk->aik", x, ctx.compact_basis) for x in xs])
+    return -np.real(np.einsum("bij,aji->ba", ctx.compact_basis, comms))
 
 
 def _regularity(ctx, xs, threshold=1e-6):
@@ -210,36 +239,59 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32, max_iter=
     otherwise.  Identical inputs and seed give identical output.
     """
     hs = [h1, h2, h3]
-    best = np.inf
-    for trial in range(restarts):
-        rng = np.random.default_rng((seed, trial))
-        ks = [ctx.random_unitary(rng) for _ in range(3)]
-        ks, res = _gauss_newton_zero(ctx, hs, ks, tol, max_iter)
-        best = min(best, res)
-        if res <= tol:
-            xs, _ = _zero_residual(ctx, hs, ks)
-            rank, _ = _regularity(ctx, xs)
-            pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
-            return MomentSolution(kind="zero", points=pts, residual=float(res),
-                                  regularity_rank=rank, trial=trial)
-    return NoSolution(best_residual=float(best), trials=restarts)
+    found = _solve(ctx, lambda ks: _zero_residual(ctx, hs, ks),
+                   lambda ks, xs: _zero_jacobian(ctx, xs),
+                   seed, tol, restarts, max_iter, grad_floor=1e-15, stall=True)
+    if isinstance(found, NoSolution):
+        return found
+    trial, ks, res = found
+    xs, _ = _zero_residual(ctx, hs, ks)
+    rank, _ = _regularity(ctx, xs)
+    pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
+    return MomentSolution(kind="zero", points=pts, residual=float(res),
+                          regularity_rank=rank, trial=trial)
 
 
-def _dual_points(ctx, hs, ks, t, u):
-    pts = []
-    run_mats = []
-    for k, h in zip(ks, hs):
-        base = e_map(ctx, h.matrix, t, u)
-        _, rho_star = dressing_action(ctx, k, base, u=u)
-        pts.append(rho_star)
-        run_mats.append(rho_star.matrix)
-    return pts, run_mats
+_DRESSING_FD = 1e-6
 
 
-def _dual_residual(ctx, hs, ks, t, u):
-    pts, mats = _dual_points(ctx, hs, ks, t, u)
+def _dressing_inputs(ctx, hs, t, u):
+    """Orbit base points ``e(H_i)`` and the step unitaries ``exp(fd t_b)``."""
+    bases = [e_map(ctx, h.matrix, t, u) for h in hs]
+    steps = [_exp_su(ctx, _DRESSING_FD * tb) for tb in ctx.compact_basis]
+    return bases, steps
+
+
+def _dressed(ctx, bases, ks, u):
+    """The dressed triple ``AD*_{k_i} e(H_i)`` as dual-group elements."""
+    return [dressing_action(ctx, k, b, u=u)[1] for k, b in zip(ks, bases)]
+
+
+def _product_residual(ctx, mats):
     m = mats[0] @ mats[1] @ mats[2] - np.eye(ctx.n)
-    return pts, np.concatenate([m.real.ravel(), m.imag.ravel()])
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def _dressing_jacobian(ctx, bases, steps, ks, mats, u):
+    """Central differences under ``k_i -> exp(±fd t_b) k_i`` through the dressing.
+
+    ``mats`` is the dressed triple at ``ks``; a column re-dresses only the
+    moved slot.  Returns the Jacobian of the product residual and, per slot,
+    the Jacobian of the dressed triple.
+    """
+    fd = _DRESSING_FD
+    cols, slots = [], []
+    for i in range(3):
+        block = []
+        for ep in steps:
+            mp, mm = list(mats), list(mats)
+            mp[i] = dressing_action(ctx, ep @ ks[i], bases[i], u=u)[1].matrix
+            mm[i] = dressing_action(ctx, ep.conj().T @ ks[i], bases[i], u=u)[1].matrix
+            cols.append((_product_residual(ctx, mp) - _product_residual(ctx, mm)) / (2 * fd))
+            block.append(
+                np.concatenate([(a - b).ravel().view(float) for a, b in zip(mp, mm)]) / (2 * fd))
+        slots.append(np.array(block).T)
+    return np.array(cols).T, slots
 
 
 def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32,
@@ -251,64 +303,32 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
     is set, trial 0 seeds from the zero-level solution's witnesses.
     """
     hs = [h1, h2, h3]
-    nb = ctx.dim_compact
-    fd = 1e-6
-    best = np.inf
-    for trial in range(restarts):
-        rng = np.random.default_rng((seed, trial))
-        if trial == 0 and warm_start:
-            zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
-            if isinstance(zero, NoSolution):
-                ks = [ctx.random_unitary(rng) for _ in range(3)]
-            else:
-                ks = [p.witness for p in zero.points]
-        else:
-            ks = [ctx.random_unitary(rng) for _ in range(3)]
-        lam = 1e-3
-        _, f = _dual_residual(ctx, hs, ks, t, u)
-        res = np.linalg.norm(f)
-        for _ in range(max_iter):
-            if res <= tol:
-                break
-            cols = []
-            for i in range(3):
-                for tb in ctx.compact_basis:
-                    kp = [kk.copy() for kk in ks]
-                    km = [kk.copy() for kk in ks]
-                    ep = _exp_su(ctx, fd * tb)
-                    kp[i] = ep @ ks[i]
-                    km[i] = ep.conj().T @ ks[i]
-                    _, fp = _dual_residual(ctx, hs, kp, t, u)
-                    _, fm = _dual_residual(ctx, hs, km, t, u)
-                    cols.append((fp - fm) / (2 * fd))
-            jac = np.array(cols).T
-            g = jac.T @ f
-            if np.linalg.norm(g) < 1e-14:
-                break
-            step = np.linalg.solve(jac.T @ jac + lam * np.eye(3 * nb), -g)
-            new_ks = [
-                _exp_su(ctx, np.einsum("a,aij->ij", step[i * nb:(i + 1) * nb], ctx.compact_basis)) @ ks[i]
-                for i in range(3)
-            ]
-            _, f_new = _dual_residual(ctx, hs, new_ks, t, u)
-            if np.linalg.norm(f_new) < res:
-                ks, f = new_ks, f_new
-                res = np.linalg.norm(f)
-                lam = max(lam * 0.3, 1e-12)
-            else:
-                lam *= 8.0
-                if lam > 1e8:
-                    break
-        best = min(best, res)
-        if res <= tol:
-            pts, mats = _dual_points(ctx, hs, ks, t, u)
-            xs = [_dual_log(ctx, p, t) for p in pts]
-            rank, _ = _regularity(ctx, xs)
-            out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
-                   for p, h, k in zip(pts, hs, ks)]
-            return MomentSolution(kind="dual", points=out, residual=float(res),
-                                  regularity_rank=rank, t=float(t), u=u, trial=trial)
-    return NoSolution(best_residual=float(best), trials=restarts)
+    bases, steps = _dressing_inputs(ctx, hs, t, u)
+
+    def residual(ks):
+        mats = [p.matrix for p in _dressed(ctx, bases, ks, u)]
+        return mats, _product_residual(ctx, mats)
+
+    def start(rng):
+        zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
+        if isinstance(zero, NoSolution):
+            return [ctx.random_unitary(rng) for _ in range(3)]
+        return [p.witness for p in zero.points]
+
+    found = _solve(ctx, residual,
+                   lambda ks, mats: _dressing_jacobian(ctx, bases, steps, ks, mats, u)[0],
+                   seed, tol, restarts, max_iter, grad_floor=1e-14, stall=False,
+                   start=start if warm_start else None)
+    if isinstance(found, NoSolution):
+        return found
+    trial, ks, res = found
+    pts = _dressed(ctx, bases, ks, u)
+    xs = [_dual_log(ctx, p, t) for p in pts]
+    rank, _ = _regularity(ctx, xs)
+    out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
+           for p, h, k in zip(pts, hs, ks)]
+    return MomentSolution(kind="dual", points=out, residual=float(res),
+                          regularity_rank=rank, t=float(t), u=u, trial=trial)
 
 
 def _dual_log(ctx, p, t):
@@ -397,67 +417,31 @@ def tangent_rank(ctx, solution, threshold=1e-8):
     diagonal action has a continuous stabilizer.
     """
     nb = ctx.dim_compact
-    if solution.kind == "zero":
+    relative = solution.kind != "zero"
+    if not relative:
         xs = [p.X for p in solution.points]
-        cols = []
-        for i in range(3):
-            for t in ctx.compact_basis:
-                col = np.zeros(nb)
-                colv = ctx.compact_coords(t @ xs[i] - xs[i] @ t)
-                cols.append((i, colv))
-        jac = np.array([c for _, c in cols]).T
-        slot_nullity = []
-        for i in range(3):
-            block = np.array([c for j, c in cols if j == i]).T
-            sv = np.linalg.svd(block, compute_uv=False)
-            _check_gap(sv, threshold)
-            slot_nullity.append(int(np.sum(sv <= threshold)))
-        sv = np.linalg.svd(jac, compute_uv=False)
-        _check_gap(sv, threshold)
-        rank_j = int(np.sum(sv > threshold))
-        reg_rank, svb = _regularity(ctx, xs)
-        if reg_rank < nb:
-            raise NonRegular("continuous stabilizer: reduced space is singular here")
-        return (3 * nb - rank_j) - sum(slot_nullity) - reg_rank
-
-    # dual level: finite-difference differentials through the dressing pipeline
-    t, u = solution.t, solution.u
-    hs = [p.H for p in solution.points]
-    ks = [p.witness for p in solution.points]
-    fd = 1e-6
-    cols = []
-    slot_cols = {0: [], 1: [], 2: []}
-    for i in range(3):
-        for tb in ctx.compact_basis:
-            kp = [kk.copy() for kk in ks]
-            km = [kk.copy() for kk in ks]
-            ep = _exp_su(ctx, fd * tb)
-            kp[i] = ep @ ks[i]
-            km[i] = ep.conj().T @ ks[i]
-            _, fp = _dual_residual(ctx, hs, kp, t, u)
-            _, fm = _dual_residual(ctx, hs, km, t, u)
-            col = (fp - fm) / (2 * fd)
-            cols.append(col)
-            ptsp, mp = _dual_points(ctx, hs, kp, t, u)
-            ptsm, mm = _dual_points(ctx, hs, km, t, u)
-            slot_cols[i].append(
-                np.concatenate([(a - b).ravel().view(float) for a, b in zip(mp, mm)]) / (2 * fd)
-            )
-    jac = np.array(cols).T
+        blocks = [np.array([ctx.compact_coords(t @ x - x @ t) for t in ctx.compact_basis]).T
+                  for x in xs]
+        jac = np.hstack(blocks)
+    else:  # finite-difference differentials through the dressing pipeline
+        t, u = solution.t, solution.u
+        ks = [p.witness for p in solution.points]
+        bases, steps = _dressing_inputs(ctx, [p.H for p in solution.points], t, u)
+        mats = [p.matrix for p in _dressed(ctx, bases, ks, u)]
+        jac, blocks = _dressing_jacobian(ctx, bases, steps, ks, mats, u)
+        xs = [_dual_log(ctx, p, t) for p in solution.points]
     sv = np.linalg.svd(jac, compute_uv=False)
     _check_gap(sv, threshold)
-    rank_j = int(np.sum(sv > threshold * max(1.0, sv[0])))
-    slot_nullity = []
-    for i in range(3):
-        block = np.array(slot_cols[i]).T
+    rank_j = int(np.sum(sv > threshold * (max(1.0, sv[0]) if relative else 1.0)))
+    slot_nullity = 0
+    for block in blocks:
         svb = np.linalg.svd(block, compute_uv=False)
         _check_gap(svb, threshold)
-        slot_nullity.append(int(np.sum(svb <= threshold * max(1.0, svb[0]))))
-    ys = [_dual_log(ctx, p, t) for p in solution.points]
-    reg_rank, _ = _regularity(ctx, ys)
+        slot_nullity += int(np.sum(svb <= threshold * (max(1.0, svb[0]) if relative else 1.0)))
+    reg_rank, _ = _regularity(ctx, xs)
     if reg_rank < nb:
         raise NonRegular("continuous stabilizer: reduced space is singular here")
-    return (3 * nb - rank_j) - sum(slot_nullity) - reg_rank
+    return (3 * nb - rank_j) - slot_nullity - reg_rank
 
 
 def _check_gap(sv, threshold):

@@ -92,9 +92,9 @@ def suite_iwasawa(seed=0, ns=(2, 3), samples=1000):
         worst_rt, worst_un, worst_ph = 0.0, 0.0, 0.0
         for _ in range(samples):
             u = _random_twist(ctx, rng)
-            t = rng.uniform(0.3, 2.0)
+            rng.uniform(0.3, 2.0)  # scale t: unused by the factorization, drawn to keep the samples
             g = _random_sl(ctx, rng)
-            k, ks = iwasawa(ctx, g, t, u)
+            k, ks = iwasawa(ctx, g, u)
             worst_rt = max(worst_rt, np.linalg.norm(k @ ks.matrix - g) / np.linalg.norm(g))
             worst_un = max(worst_un, np.linalg.norm(k.conj().T @ k - np.eye(n)))
             worst_ph = max(worst_ph, ks.phase_residual(ctx, u))
@@ -149,7 +149,7 @@ def suite_emap(seed=0, ns=(2, 3), trials=200):
             target = e_map(ctx, k @ x @ k.conj().T, t, u)
             worst_eq = max(worst_eq, float(np.linalg.norm(dressed.matrix - target.matrix)))
             ks = _random_kstar(ctx, rng, u)
-            back = f_inverse(ctx, f_map(ks), t, u)
+            back = f_inverse(ctx, f_map(ks), u)
             worst_rt = max(worst_rt, float(np.linalg.norm(back.matrix - ks.matrix)))
         rec.append(CheckRecord(f"emap.equivariance.n{n}", worst_eq, 1e-9, 0.0))
         rec.append(CheckRecord(f"emap.f_roundtrip.n{n}", worst_rt, 1e-11, 0.0))
@@ -382,7 +382,7 @@ def suite_dimension(seed=0, ns=(2, 3)):
 # 8. bracket axioms
 # ---------------------------------------------------------------------------
 
-def _entry_function(rng, n, matrix=True):
+def _entry_function(rng, n):
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     part = rng.integers(2)
     if part == 0:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from trinion.cli import main
 
@@ -130,3 +131,47 @@ def test_holonomy_missing_residues_exit_2(tmp_path, capsys):
     assert run(["holonomy", "gamma1", "--residues", str(missing)]) == 2
     err = capsys.readouterr().err.strip()
     assert "absent.json" in err and len(err.splitlines()) == 1
+
+
+def test_saved_catalogue_drives_goldman_bracket(tmp_path):
+    from trinion.holonomy import builtin_catalogue
+
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(builtin_catalogue().to_dict()))
+    saved, builtin = tmp_path / "saved.json", tmp_path / "builtin.json"
+    assert run(["--out", str(saved), "bracket", "goldman", "--catalogue", str(cat)]) == 0
+    assert run(["--out", str(builtin), "bracket", "goldman"]) == 0
+    a, b = json.loads(saved.read_text()), json.loads(builtin.read_text())
+    assert a["points"] > 0
+    assert a["casimir_form"] == b["casimir_form"]
+
+    payload = builtin_catalogue().to_dict()
+    for contour in payload["contours"]:
+        for datum in contour["intersections"]:
+            del datum["seg_param"], datum["other_seg_param"]
+    cat.write_text(json.dumps(payload))
+    assert run(["bracket", "goldman", "--catalogue", str(cat)]) == 1
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["contours", "input_missing", "input_no_matrices",
+                                  "thetas_length", "tolerance_type"])
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    if case == "contours":
+        args = ["bracket", "goldman", "--contours", "foo", "bar"]
+    elif case == "input_missing":
+        args = ["map", "chi", "--input", str(tmp_path / "absent.json")]
+    elif case == "input_no_matrices":
+        args = ["map", "chi", "--input", _write_json(tmp_path / "m.json", {"foo": 1})]
+    elif case == "thetas_length":
+        args = ["--config", _write_json(tmp_path / "c.json", {"n": 3}), "solve", "zero"]
+    else:
+        args = ["--config", _write_json(tmp_path / "c.json", {"tolerances": {"ode": "x"}}),
+                "holonomy", "gamma1"]
+    assert run(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and len(err.splitlines()) == 1

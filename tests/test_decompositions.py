@@ -106,7 +106,7 @@ def test_f_roundtrip_random():
         m = np.diag(np.exp(-theta + 1j * _theta_twist(ctx, u, theta))).astype(complex)
         m[np.triu_indices(3, 1)] = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
         ks = kstar_from_matrix(ctx, m)
-        back = f_inverse(ctx, f_map(ks), 1.0, u)
+        back = f_inverse(ctx, f_map(ks), u)
         assert np.linalg.norm(back.matrix - ks.matrix) < 1e-11
 
 

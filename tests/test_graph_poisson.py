@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trinion.decompositions import f_map
+from trinion.decompositions import f_map, group_gradients
 from trinion.errors import MissingIntersectionData, SchemaError
-from trinion.graph_poisson import (CiliatedGraph, GraphConnection, chi_map,
+from trinion.graph_poisson import (CiliatedGraph, GraphConnection, _end_covector, chi_map,
                                    figure_three, fr_bracket, fr_vs_kstar,
                                    goldman_rhs, graph_gauge, reality_project)
 from trinion.holonomy import builtin_catalogue, holonomy, xi_map
@@ -74,6 +74,22 @@ def test_face_words_flat_for_arc_holonomies():
 # ---------------------------------------------------------------------------
 # graph bracket
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_end_covectors_are_group_gradients(ctx):
+    """A target end carries the left gradient, a source end minus the right one."""
+    rng = np.random.default_rng(31)
+    f = entry(rng, ctx.n)
+    conn = GraphConnection({e: random_sl(ctx, rng=rng) for e in ("e1", "e2", "e3")})
+    grad_l, grad_r = group_gradients(ctx, f, conn["e1"], fd_step=1e-6)
+
+    def psi(a):
+        return f(a["e1"])
+
+    assert np.array_equal(_end_covector(ctx, psi, conn, "e1", "tgt", 1e-6), grad_l)
+    assert np.array_equal(_end_covector(ctx, psi, conn, "e1", "src", 1e-6), -grad_r)
+    assert not np.any(_end_covector(ctx, psi, conn, "e2", "tgt", 1e-6))
+
 
 def test_fr_vertex_disjoint_functions_commute():
     graph = CiliatedGraph(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trinion.errors import BoundaryOrbit, InvalidRank, InvalidSpectrum, InvalidTwist
 from trinion.lie_core import (bar, build_algebra, cybe_residual, pair, r_matrix,
@@ -20,6 +21,16 @@ def test_structure_counts_su3():
     assert len(ctx.compact_basis) == 8
     assert len(ctx.positive_roots) == 3
     assert len(ctx.simple_roots) == 2
+
+
+def test_fd_exponentials_cached_per_step():
+    ctx = build_algebra(2)
+    plus, minus = ctx.fd_exponentials(1e-5)
+    assert ctx.fd_exponentials(1e-5)[0] is plus
+    for t, ep, em in zip(ctx.real_basis, plus, minus):
+        assert np.array_equal(ep, expm(1e-5 * t))
+        assert np.array_equal(em, expm(-1e-5 * t))
+    assert len(ctx.fd_exponentials(1e-4)[0]) == 2 * ctx.dim_compact
 
 
 def test_invalid_rank():

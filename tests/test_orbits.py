@@ -99,11 +99,17 @@ def test_solver_reported_residual_consistent():
 
 
 def test_solver_deterministic():
-    a = solve_moment_zero(CTX2, H03, H03, H03, seed=9)
-    b = solve_moment_zero(CTX2, H03, H03, H03, seed=9)
-    assert a.residual == b.residual
-    for pa, pb in zip(a.points, b.points):
-        assert np.array_equal(pa.X, pb.X)
+    for solve in (lambda: solve_moment_zero(CTX2, H03, H03, H03, seed=9),
+                  lambda: solve_moment_kstar(CTX2, H03, H03, H03, t=0.6, seed=9)):
+        a, b = solve(), solve()
+        assert isinstance(a, MomentSolution)
+        assert a.residual == b.residual and a.trial == b.trial
+        for pa, pb in zip(a.points, b.points):
+            if a.kind == "zero":
+                assert np.array_equal(pa.X, pb.X)
+            else:
+                assert np.array_equal(pa.kstar.matrix, pb.kstar.matrix)
+            assert np.array_equal(pa.witness, pb.witness)
 
 
 # ---------------------------------------------------------------------------
