@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -28,7 +29,7 @@ from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
 from .orbits import NoSolution, kk_bracket, solve_moment_kstar, solve_moment_zero
-from .verify import SUITES, _random_sl, run_suites
+from .verify import PROFILES, SUITES, _random_sl, run_suites
 
 DEFAULT_CONFIG = {
     "n": 2,
@@ -38,6 +39,7 @@ DEFAULT_CONFIG = {
     "tolerances": {"ode": 1e-10, "fd": 1e-5, "constraint": 1e-10, "check_scale": 1.0},
     "seed": 0,
     "suite": "all",
+    "profile": "quick",
     "out": None,
 }
 
@@ -57,38 +59,54 @@ def load_config(path):
             raise SchemaError("tolerances must be a JSON object")
         cfg.update(user)
         cfg["tolerances"] = {**DEFAULT_CONFIG["tolerances"], **tolerances}
-    validate_config(cfg)
     return cfg
 
 
 def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    return isinstance(val, int) and not isinstance(val, bool) or (
+        isinstance(val, float) and math.isfinite(val))
+
+
+def _is_rows(val):
+    return isinstance(val, list) and all(
+        isinstance(row, list) and all(_is_number(x) for x in row) for row in val)
 
 
 def validate_config(cfg):
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG)) + sorted(
+        f"tolerances.{key}" for key in set(cfg["tolerances"]) - set(DEFAULT_CONFIG["tolerances"]))
+    if unknown:
+        raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
     n = cfg["n"]
     if not isinstance(n, int) or n < 2:
         raise SchemaError("n must be an integer >= 2")
     if not _is_number(cfg["t"]):
-        raise SchemaError("t must be a number")
+        raise SchemaError("t must be a finite number")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+        raise SchemaError("seed must be a nonnegative integer")
+    if cfg["suite"] not in (None, "all", *SUITES):
+        raise SchemaError(f"unknown suite {cfg['suite']!r}; choose from {sorted(SUITES)}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise SchemaError("out must be a path")
+    if not isinstance(cfg["profile"], str) or cfg["profile"] not in PROFILES:
+        raise SchemaError(f"profile must be one of {', '.join(sorted(PROFILES))}")
     for key, val in cfg["tolerances"].items():
         if not _is_number(val):
-            raise SchemaError(f"tolerance {key} must be a number")
+            raise SchemaError(f"tolerance {key} must be a finite number")
         if key == "check_scale":
             if val < 0:
                 raise SchemaError("check_scale must be nonnegative")
         elif not val > 0:
             raise SchemaError(f"tolerance {key} must be positive")
     thetas = cfg["thetas"]
-    if not isinstance(thetas, list) or not all(
-            isinstance(th, list) and all(_is_number(x) for x in th) for th in thetas):
+    if not _is_rows(thetas):
         raise SchemaError("thetas must be a list of spectra, each a list of numbers")
     for th in thetas:
         weyl_normalize(th)
-    if cfg["u"] is not None:
-        u = np.asarray(cfg["u"], dtype=float)
-        if u.shape != (n - 1, n - 1) or np.max(np.abs(u + u.T)) > 1e-12:
-            raise SchemaError("u must be an antisymmetric (n-1) x (n-1) matrix")
+    u = cfg["u"]
+    square = _is_rows(u) and len(u) == n - 1 and all(len(row) == n - 1 for row in u)
+    if u is not None and not (square and np.max(np.abs(np.add(u, np.transpose(u)))) <= 1e-12):
+        raise SchemaError("u must be an antisymmetric (n-1) x (n-1) matrix of numbers")
 
 
 def _write(payload, path):
@@ -125,17 +143,14 @@ def _report_csv(rows, path):
 
 def cmd_verify(cfg):
     names = list(SUITES) if cfg["suite"] in (None, "all") else [cfg["suite"]]
-    for nm in names:
-        if nm not in SUITES:
-            raise SchemaError(f"unknown suite {nm!r}; choose from {sorted(SUITES)}")
+    if cfg["n"] not in (2, 3):
+        raise SchemaError(f"verify runs at n = 2 or n = 3, not n = {cfg['n']}")
     t0 = time.perf_counter()
-    ns = (cfg["n"],) if cfg["n"] in (2, 3) else (2, 3)
-    records = run_suites(names, seed=cfg["seed"], ns=ns,
-                         profile=cfg.get("profile", "quick"),
+    records = run_suites(names, seed=cfg["seed"], ns=(cfg["n"],), profile=cfg["profile"],
                          progress=lambda nm, recs, el: print(
                              f"[{nm}] {sum(r.status for r in recs)}/{len(recs)} "
                              f"in {el:.1f}s", file=sys.stderr))
-    scale = cfg["tolerances"].get("check_scale", 1.0)
+    scale = cfg["tolerances"]["check_scale"]
     if scale != 1.0:
         for r in records:
             r.tolerance *= scale
@@ -204,11 +219,8 @@ def cmd_bracket(cfg, kind, args):
     rm = r_matrix(ctx, cfg["t"], u)
     fd = cfg["tolerances"]["fd"]
 
-    def entry_fn(spec):
-        i, j, part = spec
-        if part == "re":
-            return lambda m: float(np.real(m[i, j]))
-        return lambda m: float(np.imag(m[i, j]))
+    def entry_fn(i, j, part):
+        return lambda m: float(getattr(m[i, j], part))
 
     if kind == "goldman":
         cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()
@@ -221,18 +233,18 @@ def cmd_bracket(cfg, kind, args):
                    "points": len(rep["points"])}
     elif kind == "kk":
         p = ctx.random_compact(rng, 0.5)
-        f1, f2 = entry_fn((0, 0, "im")), entry_fn((0, 1, "re"))
+        f1, f2 = entry_fn(0, 0, "imag"), entry_fn(0, 1, "real")
         payload = {"value": kk_bracket(ctx, f1, f2, p, fd_step=fd)}
     elif kind == "sklyanin":
         space = {"compact": BracketSpace.CompactGroup, "dual": BracketSpace.DualGroup,
                  "double": BracketSpace.HeisenbergDouble}[args.space]
         g = _random_sl(ctx, rng, 0.5)
-        f1, f2 = entry_fn((0, 0, "re")), entry_fn((0, 1, "im"))
+        f1, f2 = entry_fn(0, 0, "real"), entry_fn(0, 1, "imag")
         payload = {"value": sklyanin_eval(ctx, space, f1, f2, g, rm, fd_step=fd)}
     else:  # fr
         fig = figure_three()
         gs = [_random_sl(ctx, rng, 0.4) for _ in range(3)]
-        f1, f2 = entry_fn((0, 0, "re")), entry_fn((0, 1, "im"))
+        f1, f2 = entry_fn(0, 0, "real"), entry_fn(0, 1, "imag")
         rep = fr_vs_kstar(ctx, fig, 0, f1, 0, f2, gs, rm, t=cfg["t"], u=u)
         payload = rep
     _write(payload, cfg["out"])
@@ -318,8 +330,6 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg, args.level)
         if args.command == "map":
-            if args.which == "chi" and not args.input:
-                raise SchemaError("map chi requires --input with three matrices")
             if args.input:
                 try:
                     with open(args.input) as fh:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompositions import pi_R, pi_star_L
+from .decompositions import iwasawa_dual
 from .errors import MissingIntersectionData, SchemaError
 from .holonomy import ArcSegment, arc_crossings, holonomy, resolved_segments
 from .lie_core import _central_differences, bar
@@ -238,13 +238,11 @@ def chi_map(ctx, g1, g2, g3, t=1.0, u=None):
     pushes the accumulated unitary remainder into the next holonomy.  Left
     multiplication of ``g1`` by a unitary maps to the diagonal dressing
     action on the output, and ``g1 g2 g3 = e`` forces the product of the
-    outputs to be the identity.
+    outputs to be the identity.  Each factor is one ``iwasawa_dual``.
     """
-    k1 = pi_star_L(ctx, g1, u=u)
-    r1 = pi_R(ctx, g1, u=u)
-    k2 = pi_star_L(ctx, r1 @ g2, u=u)
-    r2 = pi_R(ctx, r1 @ g2, u=u)
-    k3 = pi_star_L(ctx, r2 @ g3, u=u)
+    k1, r1 = iwasawa_dual(ctx, g1, u=u)
+    k2, r2 = iwasawa_dual(ctx, r1 @ g2, u=u)
+    k3, _ = iwasawa_dual(ctx, r2 @ g3, u=u)
     return k1, k2, k3
 
 

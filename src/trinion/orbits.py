@@ -143,26 +143,26 @@ def _exp_su(ctx, w):
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, max_iter, grad_floor, stall):
+_MAX_ITER = 200
+
+
+def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
     """Damped Gauss-Newton on SU(n)^3 with exponential retractions.
 
     ``residual(ks)`` returns ``(state, f)`` and ``jacobian(ks, state)`` the
-    derivative of f along ``k_i -> exp(s t_b) k_i``.  With ``stall`` it gives
-    up on residuals far above ``tol`` that 12 iterations cut by under 10%.
+    derivative of f along ``k_i -> exp(s t_b) k_i``.  A trial stops at
+    ``tol``, after ``_MAX_ITER`` iterations, when the damping passes 1e8, or
+    on a residual far above ``tol`` that 12 iterations cut by under 10%.
     """
     nb = ctx.dim_compact
     lam = 1e-3
     state, f = residual(ks)
-    best = np.linalg.norm(f)
-    stall_ref, stall_count = best, 0
-    for _ in range(max_iter):
+    best = stall_ref = np.linalg.norm(f)
+    for it in range(1, _MAX_ITER + 1):
         if best <= tol:
             break
         jac = jacobian(ks, state)
-        g = jac.T @ f
-        if np.linalg.norm(g) < grad_floor:
-            break
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(3 * nb), -g)
+        step = np.linalg.solve(jac.T @ jac + lam * np.eye(3 * nb), -(jac.T @ f))
         new_ks = [
             _exp_su(ctx, np.einsum("a,aij->ij", step[i * nb:(i + 1) * nb], ctx.compact_basis)) @ ks[i]
             for i in range(3)
@@ -176,17 +176,14 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, max_iter, grad_floor,
             lam *= 8.0
             if lam > 1e8:
                 break
-        if stall:
-            stall_count += 1
-            if stall_count >= 12:
-                if best > 1e3 * tol and best > 0.9 * stall_ref:
-                    break
-                stall_ref, stall_count = best, 0
+        if it % 12 == 0:
+            if best > 1e3 * tol and best > 0.9 * stall_ref:
+                break
+            stall_ref = best
     return ks, best
 
 
-def _solve(ctx, residual, jacobian, seed, tol, restarts, max_iter, grad_floor, stall,
-           start=None):
+def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
     """Restarts from ``default_rng((seed, trial))`` draws, or ``start(rng)`` at trial 0.
 
     The first trial reaching ``tol`` wins: returns ``(trial, ks, residual)``,
@@ -199,8 +196,7 @@ def _solve(ctx, residual, jacobian, seed, tol, restarts, max_iter, grad_floor, s
             ks = start(rng)
         else:
             ks = [ctx.random_unitary(rng) for _ in range(3)]
-        ks, res = _levenberg_marquardt(ctx, residual, jacobian, ks, tol, max_iter,
-                                       grad_floor, stall)
+        ks, res = _levenberg_marquardt(ctx, residual, jacobian, ks, tol)
         best = min(best, res)
         if res <= tol:
             return trial, ks, res
@@ -213,25 +209,26 @@ def _zero_residual(ctx, hs, ks):
     return xs, -np.real(np.einsum("bij,ji->b", ctx.compact_basis, m))
 
 
-def _zero_jacobian(ctx, xs):
-    """Analytic derivative of the zero-level residual: commutators with the basis."""
-    comms = np.concatenate(
-        [np.einsum("aij,jk->aik", ctx.compact_basis, x)
-         - np.einsum("ij,ajk->aik", x, ctx.compact_basis) for x in xs])
-    return -np.real(np.einsum("bij,aji->ba", ctx.compact_basis, comms))
+def _commutator_coords(ctx, xs):
+    """Coordinates of ``[t_a, x_i]``: entry ``(b, i*nb + a)`` is the b-th one.
+
+    This is the derivative of ``sum_i x_i`` along ``k_i -> exp(s t_a) k_i``.
+    The form is ad-invariant, so each ``nb x nb`` block is antisymmetric and
+    the matrix is also minus that of the diagonal infinitesimal action.
+    """
+    xs, basis = np.asarray(xs), ctx.compact_basis
+    comms = (np.einsum("aij,mjk->maik", basis, xs)
+             - np.einsum("mij,ajk->maik", xs, basis)).reshape(-1, ctx.n, ctx.n)
+    return -np.real(np.einsum("bij,aji->ba", basis, comms))
 
 
 def _regularity(ctx, xs, threshold=1e-6):
     """Rank of the diagonal-action differential; detects continuous stabilizers."""
-    rows = []
-    for t in ctx.compact_basis:
-        rows.append(np.concatenate([ctx.compact_coords(t @ x - x @ t) for x in xs]))
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    rank = int(np.sum(sv > threshold))
-    return rank, sv
+    sv = np.linalg.svd(_commutator_coords(ctx, xs), compute_uv=False)
+    return int(np.sum(sv > threshold))
 
 
-def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32, max_iter=200):
+def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
     """Find orbit points with ``X1 + X2 + X3 = 0`` or report failure.
 
     Runs seeded Gauss-Newton restarts; returns a ``MomentSolution`` on the
@@ -240,13 +237,12 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32, max_iter=
     """
     hs = [h1, h2, h3]
     found = _solve(ctx, lambda ks: _zero_residual(ctx, hs, ks),
-                   lambda ks, xs: _zero_jacobian(ctx, xs),
-                   seed, tol, restarts, max_iter, grad_floor=1e-15, stall=True)
+                   lambda ks, xs: _commutator_coords(ctx, xs), seed, tol, restarts)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
     xs, _ = _zero_residual(ctx, hs, ks)
-    rank, _ = _regularity(ctx, xs)
+    rank = _regularity(ctx, xs)
     pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
     return MomentSolution(kind="zero", points=pts, residual=float(res),
                           regularity_rank=rank, trial=trial)
@@ -294,13 +290,12 @@ def _dressing_jacobian(ctx, bases, steps, ks, mats, u):
     return np.array(cols).T, slots
 
 
-def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32,
-                       max_iter=120, warm_start=True):
+def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32):
     """Find dressing orbit points with ``k*1 k*2 k*3 = e`` or report failure.
 
     Same restart contract as the zero-level solver; the Jacobian is built by
-    central differences through the dressing pipeline.  When ``warm_start``
-    is set, trial 0 seeds from the zero-level solution's witnesses.
+    central differences through the dressing pipeline.  Trial 0 starts from
+    the zero-level solution's witnesses when there is one.
     """
     hs = [h1, h2, h3]
     bases, steps = _dressing_inputs(ctx, hs, t, u)
@@ -317,23 +312,20 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
 
     found = _solve(ctx, residual,
                    lambda ks, mats: _dressing_jacobian(ctx, bases, steps, ks, mats, u)[0],
-                   seed, tol, restarts, max_iter, grad_floor=1e-14, stall=False,
-                   start=start if warm_start else None)
+                   seed, tol, restarts, start=start)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
     pts = _dressed(ctx, bases, ks, u)
-    xs = [_dual_log(ctx, p, t) for p in pts]
-    rank, _ = _regularity(ctx, xs)
+    rank = _regularity(ctx, [_dual_log(ctx, p, t) for p in pts])
     out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
            for p, h, k in zip(pts, hs, ks)]
     return MomentSolution(kind="dual", points=out, residual=float(res),
                           regularity_rank=rank, t=float(t), u=u, trial=trial)
 
 
-def _dual_log(ctx, p, t):
+def _dual_log(ctx, kstar, t):
     """Recover the anti-Hermitian orbit realization from f(k*) = exp(2 i t X)."""
-    kstar = p.kstar if isinstance(p, DressingOrbitPoint) else p
     w, v = np.linalg.eigh(f_map(kstar).matrix)
     return -1j * (v * (np.log(w) / (2.0 * t))) @ v.conj().T
 
@@ -342,11 +334,10 @@ def _dual_log(ctx, p, t):
 # gauge fixing and the reduced dimension
 # ---------------------------------------------------------------------------
 
-def _align_first(ctx, x1, h1):
+def _align_first(ctx, x1):
     """Unitary v with v^† x1 v = I(H1); columns ordered by decreasing theta."""
-    vals, vecs = np.linalg.eigh(1j * x1)  # ascending -theta = descending theta
-    v = vecs / np.linalg.det(vecs) ** (1.0 / ctx.n)
-    return v
+    _, vecs = np.linalg.eigh(1j * x1)  # ascending -theta = descending theta
+    return vecs / np.linalg.det(vecs) ** (1.0 / ctx.n)
 
 
 def _torus_phases(ctx, x2, tol=1e-10):
@@ -373,13 +364,12 @@ def gauge_fix(ctx, solution):
     """
     if solution.kind == "zero":
         xs = [p.X for p in solution.points]
-        rank, _ = _regularity(ctx, xs)
+        rank = _regularity(ctx, xs)
         if rank < ctx.dim_compact:
             raise NonRegular("positive-dimensional stabilizer at the solution")
-        v = _align_first(ctx, xs[0], solution.points[0].H)
+        v = _align_first(ctx, xs[0])
         xs = [v.conj().T @ x @ v for x in xs]
-        d = _torus_phases(ctx, xs[1])
-        dm = np.diag(d)
+        dm = np.diag(_torus_phases(ctx, xs[1]))
         xs = [dm.conj().T @ x @ dm for x in xs]
         xs[0] = solution.points[0].H.matrix
         move = v @ dm
@@ -392,13 +382,13 @@ def gauge_fix(ctx, solution):
 
     t = solution.t
     u = solution.u
-    ys = [_dual_log(ctx, p, t) for p in solution.points]
-    rank, _ = _regularity(ctx, ys)
+    ys = [_dual_log(ctx, p.kstar, t) for p in solution.points]
+    rank = _regularity(ctx, ys)
     if rank < ctx.dim_compact:
         raise NonRegular("positive-dimensional stabilizer at the solution")
-    v = _align_first(ctx, ys[0], solution.points[0].H)
+    v = _align_first(ctx, ys[0])
     pts = diag_dressing(ctx, v.conj().T, solution.points, u=u)
-    d = np.diag(_torus_phases(ctx, _dual_log(ctx, pts[1], t)))
+    d = np.diag(_torus_phases(ctx, _dual_log(ctx, pts[1].kstar, t)))
     pts = diag_dressing(ctx, d.conj().T, pts, u=u)
     pts[0] = DressingOrbitPoint(kstar=e_map(ctx, pts[0].H.matrix, t, u), H=pts[0].H, t=t,
                                 witness=pts[0].witness)
@@ -412,38 +402,38 @@ def tangent_rank(ctx, solution, threshold=1e-8):
     """Dimension of the reduced multiplicity space at a regular solution.
 
     Computed as dim ker(constraint differential on orbit tangents) minus the
-    dimension of the diagonal-action orbit.  Raises ``IllConditioned`` when
+    dimension of the diagonal-action orbit; a singular value counts as nonzero
+    above ``threshold * max(1, sigma_max)``.  Raises ``IllConditioned`` when
     singular values cluster at the threshold and ``NonRegular`` when the
     diagonal action has a continuous stabilizer.
     """
     nb = ctx.dim_compact
-    relative = solution.kind != "zero"
-    if not relative:
+    if solution.kind == "zero":
         xs = [p.X for p in solution.points]
-        blocks = [np.array([ctx.compact_coords(t @ x - x @ t) for t in ctx.compact_basis]).T
-                  for x in xs]
-        jac = np.hstack(blocks)
+        jac = _commutator_coords(ctx, xs)
+        blocks = np.hsplit(jac, 3)
     else:  # finite-difference differentials through the dressing pipeline
         t, u = solution.t, solution.u
         ks = [p.witness for p in solution.points]
         bases, steps = _dressing_inputs(ctx, [p.H for p in solution.points], t, u)
         mats = [p.matrix for p in _dressed(ctx, bases, ks, u)]
         jac, blocks = _dressing_jacobian(ctx, bases, steps, ks, mats, u)
-        xs = [_dual_log(ctx, p, t) for p in solution.points]
-    sv = np.linalg.svd(jac, compute_uv=False)
-    _check_gap(sv, threshold)
-    rank_j = int(np.sum(sv > threshold * (max(1.0, sv[0]) if relative else 1.0)))
-    slot_nullity = 0
-    for block in blocks:
-        svb = np.linalg.svd(block, compute_uv=False)
-        _check_gap(svb, threshold)
-        slot_nullity += int(np.sum(svb <= threshold * (max(1.0, svb[0]) if relative else 1.0)))
-    reg_rank, _ = _regularity(ctx, xs)
+        xs = [_dual_log(ctx, p.kstar, t) for p in solution.points]
+    rank_j = _rank(jac, threshold)
+    slot_nullity = sum(nb - _rank(block, threshold) for block in blocks)
+    reg_rank = _regularity(ctx, xs)
     if reg_rank < nb:
         raise NonRegular("continuous stabilizer: reduced space is singular here")
     return (3 * nb - rank_j) - slot_nullity - reg_rank
 
 
-def _check_gap(sv, threshold):
+def _rank(m, threshold):
+    """Number of singular values above ``threshold * max(1, sigma_max)``.
+
+    Raises ``IllConditioned`` for a singular value within a factor of 10 of
+    ``threshold``.
+    """
+    sv = np.linalg.svd(m, compute_uv=False)
     if np.any((sv > 0.1 * threshold) & (sv < 10.0 * threshold)):
         raise IllConditioned("singular values cluster at the rank threshold")
+    return int(np.sum(sv > threshold * max(1.0, sv[0])))

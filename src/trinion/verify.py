@@ -513,7 +513,7 @@ PROFILES = {
 def run_suites(names, seed=0, ns=(2, 3), profile="full", progress=None):
     """Run the named suites (or all) and return the records."""
     out = []
-    overrides = PROFILES.get(profile, {})
+    overrides = PROFILES[profile]
     for name in names:
         fn = SUITES[name]
         kw = dict(overrides.get(name, {}))

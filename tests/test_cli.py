@@ -158,8 +158,21 @@ def _write_json(path, payload):
     return str(path)
 
 
+_BAD_CONFIGS = {
+    "thetas_length": ({"n": 3}, ["solve", "zero"]),
+    "tolerance_type": ({"tolerances": {"ode": "x"}}, ["holonomy", "gamma1"]),
+    "u_text": ({"u": [["a"]]}, ["solve", "kstar"]),
+    "u_ragged": ({"n": 3, "u": [[0.0, 1.0], [-1.0]]}, ["solve", "kstar"]),
+    "unknown_key": ({"theta": [0.3, -0.3]}, ["solve", "zero"]),
+    "unknown_tolerance": ({"tolerances": {"odee": 1e-8}}, ["holonomy", "gamma1"]),
+    "profile": ({"profile": "fast"}, ["verify", "--suite", "rmatrix"]),
+    "seed_negative": ({"seed": -1}, ["solve", "zero"]),
+    "t_nan": ({"t": float("nan")}, ["solve", "kstar"]),
+}
+
+
 @pytest.mark.parametrize("case", ["contours", "input_missing", "input_no_matrices",
-                                  "thetas_length", "tolerance_type"])
+                                  "verify_n4", *_BAD_CONFIGS])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     if case == "contours":
         args = ["bracket", "goldman", "--contours", "foo", "bar"]
@@ -167,11 +180,11 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
         args = ["map", "chi", "--input", str(tmp_path / "absent.json")]
     elif case == "input_no_matrices":
         args = ["map", "chi", "--input", _write_json(tmp_path / "m.json", {"foo": 1})]
-    elif case == "thetas_length":
-        args = ["--config", _write_json(tmp_path / "c.json", {"n": 3}), "solve", "zero"]
+    elif case == "verify_n4":
+        args = ["--n", "4", "verify", "--suite", "rmatrix"]
     else:
-        args = ["--config", _write_json(tmp_path / "c.json", {"tolerances": {"ode": "x"}}),
-                "holonomy", "gamma1"]
+        cfg, command = _BAD_CONFIGS[case]
+        args = ["--config", _write_json(tmp_path / "c.json", cfg), *command]
     assert run(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1

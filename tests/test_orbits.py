@@ -92,6 +92,16 @@ def test_solver_infeasible_triangle():
     assert sol.best_residual > 0.1
 
 
+def test_solver_flat_triangle_single_trial():
+    """(0.1, 0.1, 0.2) is feasible but degenerate: the flat triangle.  Its
+    trials creep to tol with a tiny gradient, so one trial must suffice."""
+    hs = [weyl_normalize([x, -x]) for x in (0.1, 0.1, 0.2)]
+    for seed in range(40):
+        sol = solve_moment_zero(CTX2, *hs, seed=seed, restarts=1)
+        assert isinstance(sol, MomentSolution), seed
+        assert sol.residual <= 1e-10
+
+
 def test_solver_reported_residual_consistent():
     sol = solve_moment_zero(CTX2, H03, H03, H03, seed=3)
     recomputed = np.linalg.norm(CTX2.compact_coords(sum(p.X for p in sol.points)))
