@@ -20,7 +20,7 @@ def matrix_from_json(rows):
 
 
 def solution_to_json(sol):
-    """MomentSolution payload: labels, points, residual, rank."""
+    """MomentSolution payload: labels, points, residual, rank, winning trial."""
     out = {
         "kind": sol.kind,
         "theta": [list(p.H.theta) for p in sol.points],
@@ -28,6 +28,7 @@ def solution_to_json(sol):
         "u": None if getattr(sol, "u", None) is None else np.asarray(sol.u).tolist(),
         "residual": sol.residual,
         "regularity_rank": sol.regularity_rank,
+        "trial": sol.trial,
     }
     pts = []
     for p in sol.points:

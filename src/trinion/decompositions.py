@@ -51,7 +51,7 @@ def _theta_twist(ctx, u, theta):
     if u is None:
         return np.zeros_like(theta)
     b = ctx.cartan_frame
-    return -(b.T @ (np.asarray(u) @ (b @ theta)))
+    return -(b.T @ (np.asarray(u) @ (b @ theta[..., None])))[..., 0]
 
 
 @dataclass
@@ -114,33 +114,38 @@ class BracketSpace(enum.Enum):
 # factorizations
 # ---------------------------------------------------------------------------
 
-def iwasawa(ctx, g, u=None):
-    """Factor ``g = k * kstar`` with k unitary and kstar in the twisted dual group.
+def _iwasawa(ctx, g, u=None):
+    """``g = k k*`` over leading axes: the one factorization kernel.
 
     QR on the columns gives the positive-diagonal triangular factor; the
     twist is applied as a commuting diagonal phase split so the dual-group
-    diagonal condition holds.
+    diagonal condition holds.  Returns the stacks ``(k, k*)`` as arrays.
     """
-    g = np.asarray(g, dtype=complex)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = d / np.abs(d)
-    q = q * ph
-    r = r * (1.0 / ph)[:, None]
-    theta = -np.log(np.abs(np.diagonal(r)))
-    phase = _theta_twist(ctx, u, theta)
-    dphase = np.exp(1j * phase)
-    k = q * (1.0 / dphase)[None, :]
-    kstar = r * dphase[:, None]
+    q = q * ph[..., None, :]
+    r = r * (1.0 / ph)[..., :, None]
+    theta = -np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    dphase = np.exp(1j * _theta_twist(ctx, u, theta))
+    return q * (1.0 / dphase)[..., None, :], r * dphase[..., :, None]
+
+
+def _iwasawa_dual(ctx, g, u=None):
+    """``g = k* k`` over leading axes, from the kernel applied to ``g^{-1}``."""
+    k_inv, ks_inv = _iwasawa(ctx, np.linalg.inv(g), u)
+    return np.linalg.inv(ks_inv), np.linalg.inv(k_inv)
+
+
+def iwasawa(ctx, g, u=None):
+    """Factor ``g = k * kstar`` with k unitary and kstar in the twisted dual group."""
+    k, kstar = _iwasawa(ctx, np.asarray(g, dtype=complex), u)
     return k, kstar_from_matrix(ctx, kstar)
 
 
 def iwasawa_dual(ctx, g, u=None):
     """Mirrored factorization ``g = kstar * k``."""
-    g = np.asarray(g, dtype=complex)
-    k_inv, ks_inv = iwasawa(ctx, np.linalg.inv(g), u)
-    kstar = np.linalg.inv(ks_inv.matrix)
-    k = np.linalg.inv(k_inv)
+    kstar, k = _iwasawa_dual(ctx, np.asarray(g, dtype=complex), u)
     return kstar_from_matrix(ctx, kstar), k
 
 

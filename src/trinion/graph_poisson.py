@@ -149,11 +149,17 @@ def _end_covector(ctx, psi, conn, edge, which, fd_step):
 
 def fr_bracket(ctx, graph, psi1, psi2, conn, rmat, fd_step=1e-6):
     """Vertex-ordered graph bracket of two functions at a graph connection."""
+    return _fr_bracket_pair(ctx, graph, lambda c: (psi1(c), psi2(c)), conn, rmat, fd_step)
+
+
+def _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step):
+    """Graph bracket of the two components of ``psi12``, which is evaluated
+    once per perturbed connection for both."""
     rp = rmat.tensor
     total = 0.0
     for v, ends in graph.orders.items():
-        xi = [_end_covector(ctx, psi1, conn, e, w, fd_step) for e, w in ends]
-        eta = [_end_covector(ctx, psi2, conn, e, w, fd_step) for e, w in ends]
+        covs = np.array([_end_covector(ctx, psi12, conn, e, w, fd_step).T for e, w in ends])
+        xi, eta = covs[:, 0], covs[:, 1]
         for i in range(len(ends)):
             total += 0.5 * (xi[i] @ rp @ eta[i] - eta[i] @ rp @ xi[i])
             for j in range(i + 1, len(ends)):
@@ -314,13 +320,11 @@ def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, t=1.0, u=None,
 
     conn = GraphConnection({"e1": gs[0], "e2": gs[1], "e3": gs[2]})
 
-    def pull(f, slot):
-        def inner(a):
-            return f(chi_map(ctx, a["e1"], a["e2"], a["e3"], t, u)[slot].matrix)
-        return inner
+    def pulled(a):
+        ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], t, u)
+        return f1(ks[slot1].matrix), f2(ks[slot2].matrix)
 
-    fr = fr_bracket(ctx, fig3.bracket_graph, pull(f1, slot1), pull(f2, slot2),
-                    conn, rmat, fd_step)
+    fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, fd_step)
     if slot1 == slot2:
         point = chi_map(ctx, gs[0], gs[1], gs[2], t, u)[slot1]
         plb = sklyanin_eval(ctx, BracketSpace.DualGroup, f1, f2, point, rmat,

@@ -190,10 +190,14 @@ class AlgebraContext:
 
 
 def _central_differences(fn, plus, minus, h):
-    """``(fn(plus[a]) - fn(minus[a])) / 2h`` over a basis; non-finite values raise."""
-    out = np.empty(len(plus))
-    for a, (p, m) in enumerate(zip(plus, minus)):
-        out[a] = (fn(p) - fn(m)) / (2 * h)
+    """``(fn(plus[a]) - fn(minus[a])) / 2h`` over a basis; non-finite values raise.
+
+    ``fn`` returns a scalar or a fixed-length vector; for a vector, row ``a``
+    holds the differences of its components.
+    """
+    pairs = np.array([(fn(p), fn(m)) for p, m in zip(plus, minus)])
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values raise below
+        out = (pairs[:, 0] - pairs[:, 1]) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("test function returned a non-finite value")
     return out

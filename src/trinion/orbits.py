@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompositions import KStarElement, dressing_action, e_map, f_map
+from .decompositions import (KStarElement, _iwasawa_dual, dressing_action, e_map, f_map,
+                             kstar_from_matrix)
 from .errors import IllConditioned, NonRegular
 from .lie_core import CartanVector, _central_differences, pair
 
@@ -138,75 +139,128 @@ def diag_dressing(ctx, k, points, u=None):
 # ---------------------------------------------------------------------------
 
 def _exp_su(ctx, w):
-    """Exponential of an anti-Hermitian matrix via eigendecomposition."""
+    """Exponential of anti-Hermitian matrices (over leading axes) via eigendecomposition."""
     vals, vecs = np.linalg.eigh(1j * w)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _random_triples(ctx, rngs):
+    """One triple of Haar SU(n) elements per generator, shape ``(T, 3, n, n)``.
+
+    The draws and the arithmetic are those of ``ctx.random_unitary`` called
+    three times per generator, so the starts are bit-equal to it.
+    """
+    n = ctx.n
+    z = np.array([rng.normal(size=(3, 2, n, n)) for rng in rngs])
+    q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    # the scalar power, matrix by matrix: the array power differs in the last bit
+    root = np.array([det ** (1.0 / n) for det in np.linalg.det(q).ravel()])
+    return q / root.reshape(q.shape[:2])[..., None, None]
 
 
 _MAX_ITER = 200
 
 
-def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
-    """Damped Gauss-Newton on SU(n)^3 with exponential retractions.
+def _norms(f):
+    """Euclidean norm of each row, with the arithmetic of ``np.linalg.norm`` on one row."""
+    return np.sqrt(np.vecdot(f, f))
 
-    ``residual(ks)`` returns ``(state, f)`` and ``jacobian(ks, state)`` the
-    derivative of f along ``k_i -> exp(s t_b) k_i``.  A trial stops at
-    ``tol``, after ``_MAX_ITER`` iterations, when the damping passes 1e8, or
-    on a residual far above ``tol`` that 12 iterations cut by under 10%.
+
+def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, first_wins=False):
+    """Damped Gauss-Newton on SU(n)^3 with exponential retractions, over a stack of trials.
+
+    ``ks`` has shape ``(T, 3, n, n)``; ``residual(ks)`` returns ``(state, f)``
+    stacked the same way, and ``jacobian(ks, state)`` the derivative of each f
+    along ``k_i -> exp(s t_b) k_i``.  Every trial keeps its own damping, best
+    residual and stall reference, and only trials still running are evaluated,
+    so a trial's result does not depend on the rest of the stack.  A trial
+    stops at ``tol``, after ``_MAX_ITER`` iterations, when its damping passes
+    1e8, or on a residual far above ``tol`` that 12 iterations cut by under
+    10%.  With ``first_wins`` the stack ends as soon as the lowest-index trial
+    reaching ``tol`` is known, i.e. every trial before it has stopped.
+    Returns the final ``ks``, the best residual and the iteration count of
+    each trial.
     """
     nb = ctx.dim_compact
-    lam = 1e-3
+    ks = np.array(ks)
+    lam = np.full(len(ks), 1e-3)
     state, f = residual(ks)
-    best = stall_ref = np.linalg.norm(f)
+    best = _norms(f)
+    stall_ref = best.copy()
+    iters = np.zeros(len(ks), dtype=int)
+    running = best > tol
+    eye = np.eye(3 * nb)
     for it in range(1, _MAX_ITER + 1):
-        if best <= tol:
+        live = np.flatnonzero(running)
+        if live.size == 0:
             break
-        jac = jacobian(ks, state)
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(3 * nb), -(jac.T @ f))
-        new_ks = [
-            _exp_su(ctx, np.einsum("a,aij->ij", step[i * nb:(i + 1) * nb], ctx.compact_basis)) @ ks[i]
-            for i in range(3)
-        ]
+        if first_wins:
+            won = np.flatnonzero(best <= tol)
+            if won.size and live[0] > won[0]:
+                break
+        iters[live] = it
+        jac = jacobian(ks[live], state[live])
+        jt = jac.swapaxes(-1, -2)
+        rhs = -(jt @ f[live][..., None])
+        step = np.linalg.solve(jt @ jac + lam[live, None, None] * eye, rhs)[..., 0]
+        turn = _exp_su(ctx, np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb),
+                                      ctx.compact_basis))
+        new_ks = turn @ ks[live]
         new_state, f_new = residual(new_ks)
-        if np.linalg.norm(f_new) < best:
-            ks, state, f = new_ks, new_state, f_new
-            best = np.linalg.norm(f)
-            lam = max(lam * 0.3, 1e-12)
-        else:
-            lam *= 8.0
-            if lam > 1e8:
-                break
+        new_best = _norms(f_new)
+        better = new_best < best[live]
+        up, down = live[better], live[~better]
+        ks[up], state[up], f[up], best[up] = (new_ks[better], new_state[better],
+                                              f_new[better], new_best[better])
+        lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
+        lam[down] *= 8.0
+        running[down[lam[down] > 1e8]] = False
         if it % 12 == 0:
-            if best > 1e3 * tol and best > 0.9 * stall_ref:
-                break
-            stall_ref = best
-    return ks, best
+            live = live[running[live]]
+            stalled = (best[live] > 1e3 * tol) & (best[live] > 0.9 * stall_ref[live])
+            running[live[stalled]] = False
+            stall_ref[live] = best[live]
+        running &= best > tol
+    return ks, best, iters
 
 
 def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
     """Restarts from ``default_rng((seed, trial))`` draws, or ``start(rng)`` at trial 0.
 
-    The first trial reaching ``tol`` wins: returns ``(trial, ks, residual)``,
-    else ``NoSolution``.
+    Trial 0 runs alone, then trials ``1..restarts-1`` run as one stack.  The
+    lowest-index trial reaching ``tol`` wins: returns ``(trial, ks,
+    residual)``, else ``NoSolution``.
     """
     best = np.inf
-    for trial in range(restarts):
-        rng = np.random.default_rng((seed, trial))
-        if trial == 0 and start is not None:
-            ks = start(rng)
+    for trials in (range(min(1, restarts)), range(1, restarts)):
+        if not trials:
+            break
+        rngs = [np.random.default_rng((seed, trial)) for trial in trials]
+        if trials[0] == 0 and start is not None:
+            starts = [start(rngs[0])]
         else:
-            ks = [ctx.random_unitary(rng) for _ in range(3)]
-        ks, res = _levenberg_marquardt(ctx, residual, jacobian, ks, tol)
-        best = min(best, res)
-        if res <= tol:
-            return trial, ks, res
+            starts = _random_triples(ctx, rngs)
+        ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, tol,
+                                          first_wins=True)
+        won = np.flatnonzero(res <= tol)
+        if won.size:
+            return trials[won[0]], ks[won[0]], res[won[0]]
+        best = min(best, np.min(res))
     return NoSolution(best_residual=float(best), trials=restarts)
 
 
-def _zero_residual(ctx, hs, ks):
-    xs = [k @ h.matrix @ k.conj().T for k, h in zip(ks, hs)]
-    m = xs[0] + xs[1] + xs[2]
-    return xs, -np.real(np.einsum("bij,ji->b", ctx.compact_basis, m))
+def _zero_residual(ctx, hmats, ks):
+    """The triple ``k_i I(H_i) k_i^{-1}`` and the coordinates of minus its sum.
+
+    The coordinates ``-Re tr(t_b m)`` are summed in a fixed order, so a
+    trial's residual does not depend on the stack it is evaluated in.
+    """
+    xs = ks @ hmats @ ks.conj().swapaxes(-1, -2)
+    m = (xs[..., 0, :, :] + xs[..., 1, :, :] + xs[..., 2, :, :]).swapaxes(-1, -2)[..., None, :, :]
+    basis = ctx.compact_basis
+    return xs, -(basis.real * m.real - basis.imag * m.imag).sum(-1).sum(-1)
 
 
 def _commutator_coords(ctx, xs):
@@ -215,11 +269,13 @@ def _commutator_coords(ctx, xs):
     This is the derivative of ``sum_i x_i`` along ``k_i -> exp(s t_a) k_i``.
     The form is ad-invariant, so each ``nb x nb`` block is antisymmetric and
     the matrix is also minus that of the diagonal infinitesimal action.
+    Leading axes of ``xs`` (shape ``(..., 3, n, n)``) are kept.
     """
     xs, basis = np.asarray(xs), ctx.compact_basis
-    comms = (np.einsum("aij,mjk->maik", basis, xs)
-             - np.einsum("mij,ajk->maik", xs, basis)).reshape(-1, ctx.n, ctx.n)
-    return -np.real(np.einsum("bij,aji->ba", basis, comms))
+    comms = (np.einsum("aij,...mjk->...maik", basis, xs)
+             - np.einsum("...mij,ajk->...maik", xs, basis))
+    comms = comms.reshape(xs.shape[:-3] + (-1, ctx.n, ctx.n))
+    return -np.real(np.einsum("bij,...aji->...ba", basis, comms))
 
 
 def _regularity(ctx, xs, threshold=1e-6):
@@ -228,20 +284,27 @@ def _regularity(ctx, xs, threshold=1e-6):
     return int(np.sum(sv > threshold))
 
 
+def _zero_callbacks(ctx, hs):
+    """Residual and Jacobian callbacks of the zero level for the labels ``hs``."""
+    hmats = np.array([h.matrix for h in hs])
+    return (lambda ks: _zero_residual(ctx, hmats, ks),
+            lambda ks, xs: _commutator_coords(ctx, xs))
+
+
 def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
     """Find orbit points with ``X1 + X2 + X3 = 0`` or report failure.
 
     Runs seeded Gauss-Newton restarts; returns a ``MomentSolution`` on the
-    first trial reaching ``tol`` and ``NoSolution`` with the best residual
-    otherwise.  Identical inputs and seed give identical output.
+    lowest-index trial reaching ``tol`` and ``NoSolution`` with the best
+    residual otherwise.  Identical inputs and seed give identical output.
     """
     hs = [h1, h2, h3]
-    found = _solve(ctx, lambda ks: _zero_residual(ctx, hs, ks),
-                   lambda ks, xs: _commutator_coords(ctx, xs), seed, tol, restarts)
+    residual, jacobian = _zero_callbacks(ctx, hs)
+    found = _solve(ctx, residual, jacobian, seed, tol, restarts)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
-    xs, _ = _zero_residual(ctx, hs, ks)
+    xs, _ = residual(ks)
     rank = _regularity(ctx, xs)
     pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
     return MomentSolution(kind="zero", points=pts, residual=float(res),
@@ -252,42 +315,54 @@ _DRESSING_FD = 1e-6
 
 
 def _dressing_inputs(ctx, hs, t, u):
-    """Orbit base points ``e(H_i)`` and the step unitaries ``exp(fd t_b)``."""
-    bases = [e_map(ctx, h.matrix, t, u) for h in hs]
-    steps = [_exp_su(ctx, _DRESSING_FD * tb) for tb in ctx.compact_basis]
-    return bases, steps
+    """Orbit base points ``e(H_i)`` and the step unitaries ``exp(±fd t_b)``."""
+    bases = np.array([e_map(ctx, h.matrix, t, u).matrix for h in hs])
+    plus = _exp_su(ctx, _DRESSING_FD * ctx.compact_basis)
+    return bases, np.stack([plus, plus.conj().swapaxes(-1, -2)])
 
 
 def _dressed(ctx, bases, ks, u):
-    """The dressed triple ``AD*_{k_i} e(H_i)`` as dual-group elements."""
-    return [dressing_action(ctx, k, b, u=u)[1] for k, b in zip(ks, bases)]
+    """The dressed triples ``AD*_{k_i} e(H_i)`` as dual-group matrices, over leading axes."""
+    return _iwasawa_dual(ctx, ks @ bases, u)[0]
 
 
-def _product_residual(ctx, mats):
-    m = mats[0] @ mats[1] @ mats[2] - np.eye(ctx.n)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+def _product_residual(ctx, prod):
+    """Real and imaginary parts of ``prod - e``, flattened over the last two axes."""
+    m = prod - np.eye(ctx.n)
+    shape = m.shape[:-2] + (-1,)
+    return np.concatenate([m.real.reshape(shape), m.imag.reshape(shape)], axis=-1)
 
 
 def _dressing_jacobian(ctx, bases, steps, ks, mats, u):
     """Central differences under ``k_i -> exp(±fd t_b) k_i`` through the dressing.
 
-    ``mats`` is the dressed triple at ``ks``; a column re-dresses only the
-    moved slot.  Returns the Jacobian of the product residual and, per slot,
-    the Jacobian of the dressed triple.
+    ``ks`` and ``mats``, the dressed triples at ``ks``, are stacks of shape
+    ``(..., 3, n, n)``; all ``2·3·nb`` moved factors of a stack are dressed in
+    one kernel call, and a column replaces only the moved slot.  Returns the
+    Jacobian of the product residual, shape ``(..., 2n², 3nb)`` with column
+    ``i*nb + b``, and the derivative of the moved slot, ``(..., 3, nb, n, n)``.
     """
     fd = _DRESSING_FD
-    cols, slots = [], []
-    for i in range(3):
-        block = []
-        for ep in steps:
-            mp, mm = list(mats), list(mats)
-            mp[i] = dressing_action(ctx, ep @ ks[i], bases[i], u=u)[1].matrix
-            mm[i] = dressing_action(ctx, ep.conj().T @ ks[i], bases[i], u=u)[1].matrix
-            cols.append((_product_residual(ctx, mp) - _product_residual(ctx, mm)) / (2 * fd))
-            block.append(
-                np.concatenate([(a - b).ravel().view(float) for a, b in zip(mp, mm)]) / (2 * fd))
-        slots.append(np.array(block).T)
-    return np.array(cols).T, slots
+    moved = _dressed(ctx, bases[:, None], steps[:, None] @ ks[..., None, :, None, :, :], u)
+    m0, m1, m2 = (mats[..., None, None, i, :, :] for i in range(3))
+    res = _product_residual(ctx, np.stack([moved[..., 0, :, :, :] @ m1 @ m2,
+                                           m0 @ moved[..., 1, :, :, :] @ m2,
+                                           m0 @ m1 @ moved[..., 2, :, :, :]], axis=-4))
+    cols = (res[..., 0, :, :, :] - res[..., 1, :, :, :]) / (2 * fd)
+    jac = cols.reshape(cols.shape[:-3] + (-1, cols.shape[-1])).swapaxes(-1, -2)
+    return jac, (moved[..., 0, :, :, :, :] - moved[..., 1, :, :, :, :]) / (2 * fd)
+
+
+def _kstar_callbacks(ctx, hs, t, u):
+    """Residual and Jacobian callbacks of the unit-product level for the labels ``hs``."""
+    bases, steps = _dressing_inputs(ctx, hs, t, u)
+
+    def residual(ks):
+        mats = _dressed(ctx, bases, ks, u)
+        return mats, _product_residual(ctx, mats[..., 0, :, :] @ mats[..., 1, :, :]
+                                       @ mats[..., 2, :, :])
+
+    return residual, lambda ks, mats: _dressing_jacobian(ctx, bases, steps, ks, mats, u)[0]
 
 
 def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32):
@@ -298,25 +373,19 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
     the zero-level solution's witnesses when there is one.
     """
     hs = [h1, h2, h3]
-    bases, steps = _dressing_inputs(ctx, hs, t, u)
-
-    def residual(ks):
-        mats = [p.matrix for p in _dressed(ctx, bases, ks, u)]
-        return mats, _product_residual(ctx, mats)
+    residual, jacobian = _kstar_callbacks(ctx, hs, t, u)
 
     def start(rng):
         zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
         if isinstance(zero, NoSolution):
-            return [ctx.random_unitary(rng) for _ in range(3)]
-        return [p.witness for p in zero.points]
+            return _random_triples(ctx, [rng])[0]
+        return np.array([p.witness for p in zero.points])
 
-    found = _solve(ctx, residual,
-                   lambda ks, mats: _dressing_jacobian(ctx, bases, steps, ks, mats, u)[0],
-                   seed, tol, restarts, start=start)
+    found = _solve(ctx, residual, jacobian, seed, tol, restarts, start=start)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
-    pts = _dressed(ctx, bases, ks, u)
+    pts = [kstar_from_matrix(ctx, m) for m in residual(ks)[0]]
     rank = _regularity(ctx, [_dual_log(ctx, p, t) for p in pts])
     out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
            for p, h, k in zip(pts, hs, ks)]
@@ -414,10 +483,10 @@ def tangent_rank(ctx, solution, threshold=1e-8):
         blocks = np.hsplit(jac, 3)
     else:  # finite-difference differentials through the dressing pipeline
         t, u = solution.t, solution.u
-        ks = [p.witness for p in solution.points]
+        ks = np.array([p.witness for p in solution.points])
         bases, steps = _dressing_inputs(ctx, [p.H for p in solution.points], t, u)
-        mats = [p.matrix for p in _dressed(ctx, bases, ks, u)]
-        jac, blocks = _dressing_jacobian(ctx, bases, steps, ks, mats, u)
+        jac, moved = _dressing_jacobian(ctx, bases, steps, ks, _dressed(ctx, bases, ks, u), u)
+        blocks = [d.reshape(nb, -1).view(float).T for d in moved]
         xs = [_dual_log(ctx, p.kstar, t) for p in solution.points]
     rank_j = _rank(jac, threshold)
     slot_nullity = sum(nb - _rank(block, threshold) for block in blocks)

@@ -48,6 +48,7 @@ def test_solve_writes_solution(tmp_path):
     assert sol["residual"] <= 1e-10
     assert sol["kind"] == "zero"
     assert len(sol["points"]) == 3
+    assert sol["trial"] == 0
 
 
 def test_solve_infeasible_exit_1(tmp_path):

@@ -6,7 +6,8 @@ from trinion.errors import EvaluationError
 from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
-from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution,
+from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, _kstar_callbacks,
+                            _levenberg_marquardt, _random_triples, _solve, _zero_callbacks,
                             diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
                             orbit_point, sample_orbit, solve_moment_kstar,
                             solve_moment_zero, tangent_rank)
@@ -240,3 +241,77 @@ def test_tangent_rank_gauge_invariant():
 def test_tangent_rank_dual_level():
     sol = solve_moment_kstar(CTX2, H03, H03, H03, t=0.6, seed=13)
     assert tangent_rank(CTX2, sol) == 0
+
+
+# ---------------------------------------------------------------------------
+# the stacked restarts
+# ---------------------------------------------------------------------------
+
+def _zero_sum_spectra(ctx, rng, scale=0.3):
+    """Labels read off a random zero-sum triple: always feasible."""
+    x1, x2 = ctx.random_compact(rng, scale), ctx.random_compact(rng, scale)
+    return [weyl_normalize(np.sort(np.linalg.eigvalsh(-1j * x))[::-1])
+            for x in (x1, x2, -(x1 + x2))]
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("level", ["zero", "kstar"])
+def test_stacked_trials_do_not_couple(level, n, feasible):
+    """Each trial of a stack ends as it does alone: same residual, iteration and point.
+
+    On feasible labels the identity triple stalls (every point is aligned,
+    so the Gauss-Newton step is about zero) while the random starts
+    converge; on infeasible ones every trial ends on its own damping or
+    stall.  Either way trials leave the stack at different iterations.
+    """
+    ctx = CTX2 if n == 2 else CTX3
+    if feasible:
+        hs = _zero_sum_spectra(ctx, np.random.default_rng((n, 21)))
+    else:  # the first spectrum outweighs the other two
+        hs = [weyl_normalize(np.linspace(x, -x, n)) for x in (1.0, 0.2, 0.2)]
+    if level == "zero":
+        residual, jacobian = _zero_callbacks(ctx, hs)
+        tol = 1e-10
+    else:
+        residual, jacobian = _kstar_callbacks(ctx, hs, 0.7, None)
+        tol = 1e-9
+    starts = _random_triples(ctx, [np.random.default_rng((n, i)) for i in range(6)])
+    starts[2] = np.eye(n)
+    ks, best, iters = _levenberg_marquardt(ctx, residual, jacobian, starts, tol)
+    assert len(set(iters)) > 1
+    for i in range(len(starts)):
+        ks1, best1, iters1 = _levenberg_marquardt(ctx, residual, jacobian, starts[i:i + 1], tol)
+        assert best1[0] == best[i] and iters1[0] == iters[i], i
+        assert np.array_equal(ks1[0], ks[i])
+
+
+def test_lowest_converging_trial_wins():
+    """The winner is the lowest-index trial that converges when run alone."""
+    def first_alone(ctx, residual, jacobian, starts, tol):
+        for i, ks in enumerate(starts):
+            if _levenberg_marquardt(ctx, residual, jacobian, ks[None], tol)[1][0] <= tol:
+                return i
+        return None
+
+    # a start at the maximum of |X1 + X2 + X3| stalls, so trial 0 fails
+    hs = [weyl_normalize(v) for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
+                                      [0.45, 0.05, -0.5])]
+    residual, jacobian = _zero_callbacks(CTX3, hs)
+    aligned = np.array([np.eye(3, dtype=complex)] * 3)
+    starts = np.concatenate([aligned[None], _random_triples(
+        CTX3, [np.random.default_rng((3, i)) for i in range(1, 8)])])
+    trial, _, _ = _solve(CTX3, residual, jacobian, 3, 1e-10, 8, start=lambda rng: aligned)
+    assert trial == first_alone(CTX3, residual, jacobian, starts, 1e-10) > 0
+    # near rounding level, the first random trials of some inputs fail too
+    rng = np.random.default_rng(5)
+    winners = []
+    for seed in range(12):
+        hs = _zero_sum_spectra(CTX3, rng, 0.5)
+        sol = solve_moment_zero(CTX3, *hs, seed=seed, tol=1e-15, restarts=6)
+        residual, jacobian = _zero_callbacks(CTX3, hs)
+        starts = _random_triples(CTX3, [np.random.default_rng((seed, i)) for i in range(6)])
+        got = None if isinstance(sol, NoSolution) else sol.trial
+        assert got == first_alone(CTX3, residual, jacobian, starts, 1e-15), seed
+        winners.append(got)
+    assert any(w not in (0, None) for w in winners)
