@@ -176,13 +176,19 @@ class AlgebraContext:
             "a,aij->ij", rng.normal(0.0, scale, self.dim_compact), self.compact_basis
         )
 
-    def random_unitary(self, rng):
-        """Haar-distributed SU(n) element (QR of a Ginibre matrix, phase fixed)."""
-        z = rng.normal(size=(self.n, self.n)) + 1j * rng.normal(size=(self.n, self.n))
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        return q / np.linalg.det(q) ** (1.0 / self.n)
+    def random_unitary(self, rng, shape=()):
+        """Haar-distributed SU(n) elements of shape ``shape + (n, n)``.
+
+        QR of a Ginibre matrix with the phases fixed.  A stack draws the same
+        numbers as successive single calls and gives bit-equal matrices.
+        """
+        z = rng.normal(size=tuple(shape) + (2, self.n, self.n))
+        q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[..., None, :]
+        # the scalar power, matrix by matrix: the array power differs in the last bit
+        root = np.array([det ** (1.0 / self.n) for det in np.ravel(np.linalg.det(q))])
+        return q / root.reshape(np.shape(q)[:-2] + (1, 1))
 
     def casimir_contract(self, m1, m2):
         """Sum_a Tr(t_a M) Tr(t_a N) over the compact basis."""

@@ -144,31 +144,18 @@ def _exp_su(ctx, w):
     return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _random_triples(ctx, rngs):
-    """One triple of Haar SU(n) elements per generator, shape ``(T, 3, n, n)``.
-
-    The draws and the arithmetic are those of ``ctx.random_unitary`` called
-    three times per generator, so the starts are bit-equal to it.
-    """
-    n = ctx.n
-    z = np.array([rng.normal(size=(3, 2, n, n)) for rng in rngs])
-    q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    # the scalar power, matrix by matrix: the array power differs in the last bit
-    root = np.array([det ** (1.0 / n) for det in np.linalg.det(q).ravel()])
-    return q / root.reshape(q.shape[:2])[..., None, None]
-
-
 _MAX_ITER = 200
 
 
 def _norms(f):
-    """Euclidean norm of each row, with the arithmetic of ``np.linalg.norm`` on one row."""
-    return np.sqrt(np.vecdot(f, f))
+    """Euclidean norm of each row, bit-equal to ``np.linalg.norm`` of that row.
+
+    A row times a column is one dot product, the arithmetic of ``np.linalg.norm``.
+    """
+    return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
 
 
-def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, first_wins=False):
+def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
     """Damped Gauss-Newton on SU(n)^3 with exponential retractions, over a stack of trials.
 
     ``ks`` has shape ``(T, 3, n, n)``; ``residual(ks)`` returns ``(state, f)``
@@ -178,10 +165,8 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, first_wins=False):
     so a trial's result does not depend on the rest of the stack.  A trial
     stops at ``tol``, after ``_MAX_ITER`` iterations, when its damping passes
     1e8, or on a residual far above ``tol`` that 12 iterations cut by under
-    10%.  With ``first_wins`` the stack ends as soon as the lowest-index trial
-    reaching ``tol`` is known, i.e. every trial before it has stopped.
-    Returns the final ``ks``, the best residual and the iteration count of
-    each trial.
+    10%.  Returns the final ``ks``, the best residual and the iteration count
+    of each trial.
     """
     nb = ctx.dim_compact
     ks = np.array(ks)
@@ -196,10 +181,6 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol, first_wins=False):
         live = np.flatnonzero(running)
         if live.size == 0:
             break
-        if first_wins:
-            won = np.flatnonzero(best <= tol)
-            if won.size and live[0] > won[0]:
-                break
         iters[live] = it
         jac = jacobian(ks[live], state[live])
         jt = jac.swapaxes(-1, -2)
@@ -241,9 +222,8 @@ def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
         if trials[0] == 0 and start is not None:
             starts = [start(rngs[0])]
         else:
-            starts = _random_triples(ctx, rngs)
-        ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, tol,
-                                          first_wins=True)
+            starts = np.array([ctx.random_unitary(rng, (3,)) for rng in rngs])
+        ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, tol)
         won = np.flatnonzero(res <= tol)
         if won.size:
             return trials[won[0]], ks[won[0]], res[won[0]]
@@ -378,7 +358,7 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
     def start(rng):
         zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
         if isinstance(zero, NoSolution):
-            return _random_triples(ctx, [rng])[0]
+            return ctx.random_unitary(rng, (3,))
         return np.array([p.witness for p in zero.points])
 
     found = _solve(ctx, residual, jacobian, seed, tol, restarts, start=start)

@@ -64,6 +64,18 @@ def test_bar_on_unitary_is_inverse():
     assert np.max(np.abs(bar(g) - np.linalg.inv(g))) < 1e-12
 
 
+def test_random_unitary_stack_matches_single_draws():
+    """A stack of Haar draws is bit-equal to successive single draws, and lies in SU(n)."""
+    for n in (2, 3, 4):
+        ctx = build_algebra(n)
+        stack = ctx.random_unitary(np.random.default_rng((n, 1)), (2, 3))
+        rng = np.random.default_rng((n, 1))
+        singles = np.array([[ctx.random_unitary(rng) for _ in range(3)] for _ in range(2)])
+        assert stack.shape == (2, 3, n, n) and np.array_equal(stack, singles)
+        assert np.max(np.abs(stack @ stack.conj().swapaxes(-1, -2) - np.eye(n))) < 1e-13
+        assert np.max(np.abs(np.linalg.det(stack) - 1)) < 1e-13
+
+
 def test_pair_positive_on_cartan():
     h = 1j * np.diag([1.0, -1.0])
     assert pair(h, h).real > 0

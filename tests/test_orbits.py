@@ -7,7 +7,7 @@ from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
 from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, _kstar_callbacks,
-                            _levenberg_marquardt, _random_triples, _solve, _zero_callbacks,
+                            _levenberg_marquardt, _solve, _zero_callbacks,
                             diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
                             orbit_point, sample_orbit, solve_moment_kstar,
                             solve_moment_zero, tangent_rank)
@@ -276,7 +276,8 @@ def test_stacked_trials_do_not_couple(level, n, feasible):
     else:
         residual, jacobian = _kstar_callbacks(ctx, hs, 0.7, None)
         tol = 1e-9
-    starts = _random_triples(ctx, [np.random.default_rng((n, i)) for i in range(6)])
+    starts = np.array([ctx.random_unitary(np.random.default_rng((n, i)), (3,))
+                       for i in range(6)])
     starts[2] = np.eye(n)
     ks, best, iters = _levenberg_marquardt(ctx, residual, jacobian, starts, tol)
     assert len(set(iters)) > 1
@@ -299,8 +300,8 @@ def test_lowest_converging_trial_wins():
                                       [0.45, 0.05, -0.5])]
     residual, jacobian = _zero_callbacks(CTX3, hs)
     aligned = np.array([np.eye(3, dtype=complex)] * 3)
-    starts = np.concatenate([aligned[None], _random_triples(
-        CTX3, [np.random.default_rng((3, i)) for i in range(1, 8)])])
+    starts = np.array([aligned] + [CTX3.random_unitary(np.random.default_rng((3, i)), (3,))
+                                   for i in range(1, 8)])
     trial, _, _ = _solve(CTX3, residual, jacobian, 3, 1e-10, 8, start=lambda rng: aligned)
     assert trial == first_alone(CTX3, residual, jacobian, starts, 1e-10) > 0
     # near rounding level, the first random trials of some inputs fail too
@@ -310,7 +311,8 @@ def test_lowest_converging_trial_wins():
         hs = _zero_sum_spectra(CTX3, rng, 0.5)
         sol = solve_moment_zero(CTX3, *hs, seed=seed, tol=1e-15, restarts=6)
         residual, jacobian = _zero_callbacks(CTX3, hs)
-        starts = _random_triples(CTX3, [np.random.default_rng((seed, i)) for i in range(6)])
+        starts = np.array([CTX3.random_unitary(np.random.default_rng((seed, i)), (3,))
+                           for i in range(6)])
         got = None if isinstance(sol, NoSolution) else sol.trial
         assert got == first_alone(CTX3, residual, jacobian, starts, 1e-15), seed
         winners.append(got)
