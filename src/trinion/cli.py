@@ -20,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import _serialize
 from .decompositions import BracketSpace, sklyanin_eval
@@ -157,8 +156,7 @@ def cmd_verify(cfg):
     rows = [r.row() for r in records]
     report = {
         "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__, "scipy": scipy.__version__,
-                        "platform": platform.platform()},
+                        "numpy": np.__version__, "platform": platform.platform()},
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "suites": names,
         "checks": rows,
@@ -282,41 +280,43 @@ def cmd_holonomy(cfg, args):
 
 
 def main(argv=None):
+    # global options, before or after the subcommand; an absent one is not set
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--seed", type=int, help="override config seed")
+    common.add_argument("--n", type=int, help="override matrix size")
+    common.add_argument("--t", type=float, help="override deformation scale")
+    common.add_argument("--out", help="output path (default stdout)")
     parser = argparse.ArgumentParser(
-        prog="trinion",
+        prog="trinion", parents=[common],
         description="verification suites and solvers for su(n) multiplicity spaces")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--n", type=int, help="override matrix size")
-    parser.add_argument("--t", type=float, help="override deformation scale")
-    parser.add_argument("--out", help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", default=None, help="suite name or 'all'")
 
-    p_solve = sub.add_parser("solve", help="solve a moment constraint")
+    p_solve = sub.add_parser("solve", parents=[common], help="solve a moment constraint")
     p_solve.add_argument("level", choices=["zero", "kstar"])
 
-    p_map = sub.add_parser("map", help="apply the connection or dual-group map")
+    p_map = sub.add_parser("map", parents=[common], help="apply the connection or dual-group map")
     p_map.add_argument("which", choices=["xi", "chi"])
     p_map.add_argument("--input", help="JSON file with matrices list")
 
-    p_br = sub.add_parser("bracket", help="evaluate a bracket")
+    p_br = sub.add_parser("bracket", parents=[common], help="evaluate a bracket")
     p_br.add_argument("kind", choices=["kk", "goldman", "fr", "sklyanin"])
     p_br.add_argument("--space", default="dual",
                       choices=["compact", "dual", "double"])
     p_br.add_argument("--contours", nargs=2, default=["eight_narrow", "eight_wide_rev"])
     p_br.add_argument("--catalogue", default=None)
 
-    p_h = sub.add_parser("holonomy", help="holonomy along a catalogue contour")
+    p_h = sub.add_parser("holonomy", parents=[common], help="holonomy along a catalogue contour")
     p_h.add_argument("contour")
     p_h.add_argument("--residues", help="JSON file with X1, X2 matrices")
     p_h.add_argument("--catalogue", default=None)
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(getattr(args, "config", None))
         for key in ("seed", "n", "t", "out"):
             val = getattr(args, key, None)
             if val is not None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (BoundaryOrbit, EvaluationError, InvalidRank, InvalidSpectrum,
                      InvalidTwist)
@@ -63,6 +62,51 @@ def _sum_zero_frame(n):
             v = v - (v @ w) * w
         rows.append(v / np.linalg.norm(v))
     return np.array(rows)
+
+
+# Pade approximants of degree 3, 5, 7, 9 and 13 with the 1-norm bounds up to
+# which each is accurate to double precision, largest degree last
+_PADE = [
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                         30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                         960960.0, 16380.0, 182.0, 1.0)),
+]
+
+
+def _expm(a):
+    """Matrix exponential of every matrix of a stack ``(..., n, n)``.
+
+    Uses the Pade approximant of lowest degree whose bound covers the largest
+    1-norm in the stack, and scaling and squaring beyond the degree-13 bound
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    top = norm.max(initial=0.0)
+    theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
+    s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
+    if s.any():
+        a = a * (0.5 ** s)[..., None, None]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    even, odd = b[0] * ident + b[2] * a2, b[1] * ident + b[3] * a2
+    power = a2
+    for j in range(4, len(b), 2):
+        power = power @ a2
+        even = even + b[j] * power
+        odd = odd + b[j + 1] * power
+    u = a @ odd
+    r = np.linalg.solve(even - u, even + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
 
 
 class AlgebraContext:
@@ -164,10 +208,10 @@ class AlgebraContext:
         return self._structure
 
     def fd_exponentials(self, h):
-        """``(expm(h t_a), expm(-h t_a))`` over the real basis, built once per step."""
+        """``(exp(h t_a), exp(-h t_a))`` over the real basis, built once per step."""
         if h not in self._fd_exponentials:
-            rb = self.real_basis
-            self._fd_exponentials[h] = ([expm(h * t) for t in rb], [expm(-h * t) for t in rb])
+            steps = np.array([h, -h])[:, None, None, None]
+            self._fd_exponentials[h] = tuple(_expm(steps * self.real_basis))
         return self._fd_exponentials[h]
 
     def random_compact(self, rng, scale=1.0):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trinion
 from trinion.cli import main
+from trinion.verify import SUITES
 
 
 def run(args):
@@ -18,6 +23,32 @@ def test_verify_single_suite(tmp_path, capsys):
     assert report["passed"]
     assert all(r["status"] == "pass" for r in report["checks"])
     assert (tmp_path / "report.json.csv").exists()
+
+
+def test_global_options_after_subcommand(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert run(["verify", "--suite", "rmatrix", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+    capsys.readouterr()
+    assert run(["solve", "zero", "--seed", "3"]) == 0
+    after = capsys.readouterr().out
+    assert run(["--seed", "3", "solve", "zero"]) == 0
+    assert capsys.readouterr().out == after
+
+
+def test_n2_only_suites_name_records_n2():
+    records = SUITES["moment_oracle"](grid=2) + SUITES["bracket_axioms"](triples=1)
+    assert records and all(r.name.endswith(".n2") for r in records)
+
+
+def test_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import trinion, trinion.verify, trinion.cli\n"
+            "assert trinion.cli.main(['verify', '--suite', 'rmatrix']) == 0\n"
+            "assert trinion.cli.main(['bracket', 'sklyanin']) == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trinion.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_broken_tolerance_fails(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from trinion.errors import BoundaryOrbit, InvalidRank, InvalidSpectrum, InvalidTwist
-from trinion.lie_core import (bar, build_algebra, cybe_residual, pair, r_matrix,
+from trinion.lie_core import (_expm, bar, build_algebra, cybe_residual, pair, r_matrix,
                               weyl_normalize)
 
 RNG = np.random.default_rng(42)
@@ -27,10 +27,26 @@ def test_fd_exponentials_cached_per_step():
     ctx = build_algebra(2)
     plus, minus = ctx.fd_exponentials(1e-5)
     assert ctx.fd_exponentials(1e-5)[0] is plus
+    stack = _expm(np.array([1e-5, -1e-5])[:, None, None, None] * ctx.real_basis)
+    assert np.array_equal(plus, stack[0]) and np.array_equal(minus, stack[1])
+    eps = np.finfo(float).eps
     for t, ep, em in zip(ctx.real_basis, plus, minus):
-        assert np.array_equal(ep, expm(1e-5 * t))
-        assert np.array_equal(em, expm(-1e-5 * t))
+        assert np.max(np.abs(ep - expm(1e-5 * t))) <= 2 * eps
+        assert np.max(np.abs(em - expm(-1e-5 * t))) <= 2 * eps
     assert len(ctx.fd_exponentials(1e-4)[0]) == 2 * ctx.dim_compact
+
+
+def test_expm_matches_scipy():
+    # one norm inside each Pade band, then norms that need scaling and squaring
+    norms = (0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 35.0, 50.0)
+    for n in (2, 3, 4):
+        z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
+        mats = z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
+        stacked = _expm(mats)
+        for m, e in zip(mats, stacked):
+            ref = expm(m)
+            for got in (_expm(m[None])[0], e):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_invalid_rank():
