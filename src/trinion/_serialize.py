@@ -13,10 +13,25 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
+    """Square matrix of finite entries from rows of [re, im] pairs."""
     try:
-        return np.array([[complex(a, b) for a, b in row] for row in rows])
+        m = np.array([[complex(a, b) for a, b in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed matrix payload: {exc}") from exc
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise SchemaError(f"matrix payload must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise SchemaError("matrix payload has non-finite entries")
+    return m
+
+
+def matrices_from_json(payloads):
+    """Matrices of one size, each read by ``matrix_from_json``."""
+    mats = [matrix_from_json(rows) for rows in payloads]
+    sizes = sorted({len(m) for m in mats})
+    if len(sizes) > 1:
+        raise SchemaError(f"matrices must have one size, got sizes {sizes}")
+    return mats
 
 
 def solution_to_json(sol):

@@ -178,6 +178,8 @@ def cmd_solve(cfg, level):
     if level == "zero":
         sol = solve_moment_zero(ctx, *hs, seed=cfg["seed"], tol=tol)
     else:
+        if cfg["t"] == 0:
+            raise SchemaError("solve kstar needs t != 0")
         u = None if cfg["u"] is None else np.asarray(cfg["u"])
         sol = solve_moment_kstar(ctx, *hs, t=cfg["t"], u=u, seed=cfg["seed"], tol=max(tol, 1e-9))
     if isinstance(sol, NoSolution):
@@ -193,7 +195,7 @@ def cmd_map(cfg, which, inputs):
     if not isinstance(inputs, list) or len(inputs) < need:
         raise SchemaError(f"map {which} needs a list of at least {need} matrices")
     ctx = build_algebra(cfg["n"])
-    mats = [_serialize.matrix_from_json(m) for m in inputs]
+    mats = _serialize.matrices_from_json(inputs)
     if which == "xi":
         x3 = mats[2] if len(mats) > 2 else None
         conn = xi_map(mats[0], mats[1], x3, t=cfg["t"])
@@ -202,6 +204,10 @@ def cmd_map(cfg, which, inputs):
                    "X3": _serialize.matrix_to_json(conn.X3),
                    "scale": conn.scale}
     else:
+        if len(mats[0]) != cfg["n"]:
+            raise SchemaError(f"map chi needs matrices of size n = {cfg['n']}")
+        if any(np.linalg.matrix_rank(m) < len(m) for m in mats[:3]):
+            raise SchemaError("map chi needs invertible matrices")
         u = None if cfg["u"] is None else np.asarray(cfg["u"])
         ks = chi_map(ctx, mats[0], mats[1], mats[2], t=cfg["t"], u=u)
         payload = {f"kstar{i+1}": _serialize.matrix_to_json(k.matrix)
@@ -263,9 +269,8 @@ def cmd_holonomy(cfg, args):
         try:
             with open(args.residues) as fh:
                 data = json.load(fh)
-            x1 = _serialize.matrix_from_json(data["X1"])
-            x2 = _serialize.matrix_from_json(data["X2"])
-        except (OSError, ValueError, KeyError) as exc:
+            x1, x2 = _serialize.matrices_from_json([data["X1"], data["X2"]])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise SchemaError(f"cannot read residues {args.residues}: {exc!r}") from exc
     else:
         ctx = build_algebra(cfg["n"])

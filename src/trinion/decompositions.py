@@ -29,8 +29,6 @@ __all__ = [
     "BracketSpace",
     "iwasawa",
     "iwasawa_dual",
-    "pi_L",
-    "pi_R",
     "pi_star_L",
     "pi_star_R",
     "f_map",
@@ -65,11 +63,6 @@ class KStarElement:
         if np.max(np.abs(np.tril(m, -1))) > _TRI_TOL * max(1.0, np.max(np.abs(m))):
             raise InvalidSK("matrix has entries below the diagonal")
         self.matrix = m
-
-    @property
-    def theta(self):
-        """Spectrum vector of the diagonal moduli, exp(-theta_j) = |diag_j|."""
-        return -np.log(np.abs(np.diagonal(self.matrix)))
 
     def inverse(self, ctx):
         return kstar_from_matrix(ctx, np.linalg.inv(self.matrix))
@@ -149,20 +142,12 @@ def iwasawa_dual(ctx, g, u=None):
     return kstar_from_matrix(ctx, kstar), k
 
 
-def pi_L(ctx, g, u=None):
-    return iwasawa(ctx, g, u=u)[0]
-
-
 def pi_star_R(ctx, g, u=None):
     return iwasawa(ctx, g, u=u)[1]
 
 
 def pi_star_L(ctx, g, u=None):
     return iwasawa_dual(ctx, g, u=u)[0]
-
-
-def pi_R(ctx, g, u=None):
-    return iwasawa_dual(ctx, g, u=u)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .decompositions import iwasawa_dual
 from .errors import MissingIntersectionData, SchemaError
-from .holonomy import ArcSegment, arc_crossings, holonomy, resolved_segments
+from .holonomy import (ArcSegment, arc_crossings, holonomy, rebased_holonomies,
+                       resolved_segments)
 from .lie_core import _central_differences, bar
 
 __all__ = [
@@ -186,11 +187,9 @@ class Figure3Data:
     bracket_graph: CiliatedGraph
     reality_graph: CiliatedGraph
     arc_segments: dict
-    positions: dict
 
 
 def figure_three():
-    q0, q1, q2 = 2.5, 0.0, -2.5
     edges3 = {"e1": ("Q1", "Q0"), "e2": ("Q2", "Q1"), "e3": ("Q0", "Q2")}
     orders3 = {
         "Q0": [("e1", "tgt"), ("e3", "src")],
@@ -233,8 +232,7 @@ def figure_three():
     for e in ("e1", "e2", "e3"):
         arcs[e + "_bar"] = [s.reflect() for s in arcs[e]]
     return Figure3Data(bracket_graph=bracket_graph, reality_graph=reality_graph,
-                       arc_segments=arcs,
-                       positions={"Q0": q0, "Q1": q1, "Q2": q2})
+                       arc_segments=arcs)
 
 
 def chi_map(ctx, g1, g2, g3, t=1.0, u=None):
@@ -266,11 +264,9 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     ``geometric`` the resolved trace is integrated along the spliced
     contour, otherwise it is the product of the re-based holonomies.
     Raises ``MissingIntersectionData`` when the contours cross but carry no
-    data.  Each re-based holonomy comes from one checkpointed pass per
-    contour.
+    data.  The re-based holonomies are products of the pieces between the
+    crossings, each transported once.
     """
-    from .holonomy import holonomy_batch, rebased_from_prefix
-
     data = [d for d in contour_a.intersections if d.other == contour_b.name]
     if not data:
         if arc_crossings(contour_a, contour_b):
@@ -281,18 +277,13 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
         raise MissingIntersectionData(
             f"pair ({contour_a.name}, {contour_b.name}) has records without crossing parameters")
 
-    x1 = conn.X1[None]
-    x2 = conn.X2[None]
-    full_a, pref_a = holonomy_batch(x1, x2, conn.scale, contour_a, ode_tol,
-                                    checkpoints=[d.seg_param for d in data])
-    full_b, pref_b = holonomy_batch(x1, x2, conn.scale, contour_b, ode_tol,
-                                    checkpoints=[d.other_seg_param for d in data])
+    ms = rebased_holonomies(conn, contour_a.segments, [d.seg_param for d in data], ode_tol)
+    ns = rebased_holonomies(conn, contour_b.segments, [d.other_seg_param for d in data],
+                            ode_tol)
     cas = 0j
     tr = 0j
     points = []
-    for i, d in enumerate(data):
-        m = rebased_from_prefix(full_a[0], pref_a[i][0])
-        nmat = rebased_from_prefix(full_b[0], pref_b[i][0])
+    for d, m, nmat in zip(data, ms, ns):
         if geometric:
             res_tr = np.trace(holonomy(conn, resolved_segments(contour_a, d, contour_b),
                                        ode_tol))

@@ -21,7 +21,7 @@ and makes the catalogue-order word ``gamma1 gamma2 gamma3`` contractible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "xi_map",
     "holonomy",
     "holonomy_batch",
+    "rebased_holonomies",
     "hole_conjugacy_check",
     "sigma_check",
     "goldman_function",
@@ -132,11 +133,15 @@ class ArcSegment:
 
 def _segment_from_dict(d):
     if d["type"] == "line":
-        return LineSegment(complex(*d["start"]), complex(*d["end"]))
-    if d["type"] == "arc":
-        return ArcSegment(complex(*d["center"]), float(d["radius"]),
-                          float(d["a0"]), float(d["a1"]))
-    raise SchemaError(f"unknown segment type {d.get('type')!r}")
+        seg = LineSegment(complex(*d["start"]), complex(*d["end"]))
+    elif d["type"] == "arc":
+        seg = ArcSegment(complex(*d["center"]), float(d["radius"]),
+                         float(d["a0"]), float(d["a1"]))
+    else:
+        raise SchemaError(f"unknown segment type {d.get('type')!r}")
+    if not np.isfinite(astuple(seg)).all():
+        raise SchemaError(f"{d['type']} segment has non-finite entries")
+    return seg
 
 
 @dataclass
@@ -397,6 +402,27 @@ def holonomy(conn, contour, tol=1e-10):
     return holonomy_batch(conn.X1[None], conn.X2[None], conn.scale, contour, tol)[0]
 
 
+def _transport(segs, basis, scale, tol):
+    """Transport of the stack behind ``basis`` along the segments, ``(B, n, n)``."""
+    psi = np.broadcast_to(np.eye(basis.shape[-1], dtype=complex), basis.shape[1:])
+    for seg in segs:
+        psi = _transport_segment(seg, psi, basis, scale, tol)
+    return psi
+
+
+def holonomy_batch(x1s, x2s, scale, contour, tol=1e-10):
+    """Transport a stack of connections along a shared contour.
+
+    ``x1s`` and ``x2s`` are ``(B, n, n)`` residue stacks.  The panels are
+    shared by the stack (refined until every connection meets ``tol``), so
+    the transports of nearby connections see one discretisation.
+    """
+    segs = contour.segments if isinstance(contour, Contour) else list(contour)
+    _check_path(segs)
+    basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
+    return _transport(segs, basis, scale, tol)
+
+
 def _slice_segment(seg, sa, sb):
     if isinstance(seg, LineSegment):
         return LineSegment(seg.z(sa), seg.z(sb))
@@ -404,61 +430,44 @@ def _slice_segment(seg, sa, sb):
                       seg.a0 + sa * (seg.a1 - seg.a0), seg.a0 + sb * (seg.a1 - seg.a0))
 
 
-def _split_at_checkpoints(segs, checkpoints):
-    """Expand the segment list so every checkpoint is a segment boundary.
+def _cut(segments, cuts):
+    """Pieces of a path between consecutive cuts, in path order.
 
-    Returns the refined list plus, per checkpoint (in input order), the
-    number of refined segments before its location.
+    ``cuts`` are ``(segment index, parameter)`` pairs in any order; ``k`` cuts
+    give ``k + 1`` segment lists, the first from the start of the path and the
+    last to its end.  Segments that no cut falls on are kept unchanged.
     """
-    marks = {}
-    for i, (idx, s) in enumerate(checkpoints):
-        marks.setdefault(idx, []).append((s, i))
-    refined = []
-    positions = [0] * len(checkpoints)
-    for idx, seg in enumerate(segs):
-        cuts = sorted(marks.get(idx, []))
+    marks = sorted(cuts)
+    pieces, piece = [], []
+    for idx, seg in enumerate(segments):
         prev = 0.0
-        for s, which in cuts:
-            refined.append(_slice_segment(seg, prev, s))
-            positions[which] = len(refined)
-            prev = s
-        refined.append(_slice_segment(seg, prev, 1.0))
-    return refined, positions
+        for s in [t for i, t in marks if i == idx]:
+            pieces.append(piece + [_slice_segment(seg, prev, s)])
+            piece, prev = [], s
+        piece.append(seg if prev == 0.0 else _slice_segment(seg, prev, 1.0))
+    return pieces + [piece]
 
 
-def holonomy_batch(x1s, x2s, scale, contour, tol=1e-10, checkpoints=None):
-    """Transport a stack of connections along a shared contour.
+def rebased_holonomies(conn, segments, cuts, tol=1e-10):
+    """Holonomies of a closed path re-based at each cut, in the order of ``cuts``.
 
-    ``x1s`` and ``x2s`` are ``(B, n, n)`` residue stacks.  The panels are
-    shared by the stack (refined until every connection meets ``tol``), so
-    the transports of nearby connections see one discretisation.  With
-    ``checkpoints`` (a list of ``(segment index, parameter)`` pairs) the
-    prefix transports up to each checkpoint are returned as well, so one pass
-    provides the holonomy re-based at every marked point.
+    The path is cut at every ``(segment index, parameter)`` pair and each
+    piece is transported once; the loop re-based at a cut is the product of
+    the pieces from that cut around to it again.
     """
-    segs = contour.segments if isinstance(contour, Contour) else list(contour)
-    _check_path(segs)
-    x1s = np.asarray(x1s, dtype=complex)
-    x2s = np.asarray(x2s, dtype=complex)
-    if checkpoints:
-        segs, positions = _split_at_checkpoints(segs, checkpoints)
-    basis = _bracket_basis(x1s, x2s)
-    psi = np.broadcast_to(np.eye(x1s.shape[-1], dtype=complex), x1s.shape)
-    prefixes = {}
-    for si, seg in enumerate(segs):
-        psi = _transport_segment(seg, psi, basis, scale, tol)
-        if checkpoints:
-            for which, pos in enumerate(positions):
-                if pos == si + 1:
-                    prefixes[which] = psi
-    if checkpoints:
-        return psi, [prefixes[i] for i in range(len(checkpoints))]
-    return psi
-
-
-def rebased_from_prefix(full, prefix):
-    """Holonomy re-based at a checkpoint: ``T Hol T^{-1}`` with T the prefix."""
-    return prefix @ full @ np.linalg.inv(prefix)
+    _check_path(segments)
+    basis = _bracket_basis(np.asarray(conn.X1, dtype=complex)[None],
+                           np.asarray(conn.X2, dtype=complex)[None])
+    hols = [_transport(piece, basis, conn.scale, tol)[0] for piece in _cut(segments, cuts)]
+    marks = sorted(cuts)
+    out = []
+    for c in cuts:
+        j = marks.index(c) + 1
+        h = hols[j]
+        for m in hols[j + 1:] + hols[:j]:
+            h = m @ h
+        out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +522,26 @@ class Catalogue:
         self.hole_names = hole_names
 
     def validate(self):
+        """Check the geometry, the crossing locations and the pairs; raise ``SchemaError``."""
         for c in self.contours.values():
-            c.validate()
+            if not c.segments:
+                raise SchemaError(f"{c.name}: contour has no segments")
+            try:
+                c.validate()
+            except GeometryError as exc:
+                raise SchemaError(str(exc)) from exc
+        for c in self.contours.values():
+            for d in c.intersections:
+                if d.other not in self.contours:
+                    raise SchemaError(f"{c.name}: crossing with unknown contour {d.other!r}")
+                for where, on in ((d.seg_param, c), (d.other_seg_param, self.contours[d.other])):
+                    if where is not None and not (0 <= where[0] < len(on.segments)
+                                                  and 0.0 <= where[1] <= 1.0):
+                        raise SchemaError(f"{c.name}: crossing location {list(where)} "
+                                          f"is not on {on.name}")
         for a, b in self.pair_names:
+            if a not in self.contours or b not in self.contours:
+                raise SchemaError(f"pair ({a}, {b}) names an unknown contour")
             ca = self.contours[a]
             if not any(i.other == b for i in ca.intersections) and ca.intersections:
                 raise SchemaError(f"pair ({a}, {b}) missing intersection records")
@@ -539,22 +565,11 @@ def word_segments(catalogue, word):
     return segs
 
 
-def _rebase(segments, idx, s_split):
-    """Closed all-arc contour re-based at parameter s_split of segment idx."""
-    seg = segments[idx]
-    if not isinstance(seg, ArcSegment):
-        raise GeometryError("re-basing is supported on arc segments only")
-    mid = seg.a0 + s_split * (seg.a1 - seg.a0)
-    head = ArcSegment(seg.center, seg.radius, mid, seg.a1)
-    tail = ArcSegment(seg.center, seg.radius, seg.a0, mid)
-    return [head] + list(segments[idx + 1:]) + list(segments[:idx]) + [tail]
-
-
 def resolved_segments(contour_a, datum, contour_b):
     """Geometric resolution at a crossing: follow A from p, then B from p."""
-    ia, sa = datum.seg_param
-    ib, sb = datum.other_seg_param
-    return _rebase(contour_a.segments, ia, sa) + _rebase(contour_b.segments, ib, sb)
+    a0, a1 = _cut(contour_a.segments, [datum.seg_param])
+    b0, b1 = _cut(contour_b.segments, [datum.other_seg_param])
+    return a1 + a0 + b1 + b0
 
 
 def _arc_params_at(seg, p):
@@ -706,7 +721,11 @@ def builtin_catalogue():
 
 
 def _seg_param(pair):
-    return None if pair is None else (int(pair[0]), float(pair[1]))
+    if pair is None:
+        return None
+    if not isinstance(pair[0], int):
+        raise SchemaError(f"crossing segment index {pair[0]!r} is not an integer")
+    return (pair[0], float(pair[1]))
 
 
 def load_catalogue(path=None):

@@ -278,10 +278,6 @@ class CartanVector:
     def matrix(self):
         return 1j * np.diag(np.array(self.theta))
 
-    @property
-    def n(self):
-        return len(self.theta)
-
 
 def weyl_normalize(theta, tol=1e-12):
     """Map a spectrum vector into the closed chamber and validate genericity.
@@ -310,7 +306,6 @@ class RMatrix:
 
     t: float
     u: np.ndarray
-    sign: str
     tensor: np.ndarray
     minus_tensor: np.ndarray = field(repr=False, default=None)
 
@@ -343,7 +338,7 @@ def _twist_action(ctx, u):
     return u
 
 
-def r_matrix(ctx, t, u=None, sign="plus"):
+def r_matrix(ctx, t, u=None):
     """Classical r-matrix of the (t, u) family as a real coefficient array.
 
     The plus tensor is ``t`` times the canonical element pairing the twisted
@@ -374,10 +369,7 @@ def r_matrix(ctx, t, u=None, sign="plus"):
     for a, b in pairs:
         coeff += np.outer(ctx.real_coords(a), ctx.real_coords(b))
     coeff *= t
-    rm = RMatrix(t=float(t), u=u, sign=sign, tensor=coeff, minus_tensor=-coeff.T)
-    if sign == "minus":
-        rm.tensor, rm.minus_tensor = rm.minus_tensor, rm.tensor
-    return rm
+    return RMatrix(t=float(t), u=u, tensor=coeff, minus_tensor=-coeff.T)
 
 
 def cybe_residual(ctx, coeff):

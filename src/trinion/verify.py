@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -320,9 +321,11 @@ def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
         rm = r_matrix(ctx, 1.0)
         sols = _gauge_fixed_solutions(ctx, seed + 1, count)
         worst_prod, worst_spec = 0.0, 0.0
-        for sol in sols:
+        for i, sol in enumerate(sols):
             conn = xi_map(*sol.points, t=t)
             gs = [holonomy(conn, fig.arc_segments[e], 1e-11) for e in ("e1", "e2", "e3")]
+            if i == 0:
+                gs_fr = gs
             ks = chi_map(ctx, *gs, t=t)
             mats = [k.matrix for k in ks]
             worst_prod = max(worst_prod, float(np.linalg.norm(
@@ -332,9 +335,6 @@ def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
                 want = np.sort(np.exp(-2.0 * t * np.array(p.H.theta)))
                 worst_spec = max(worst_spec, float(np.max(np.abs(ev - want) / want)))
         worst_fr = 0.0
-        sol = sols[0]
-        conn = xi_map(*sol.points, t=t)
-        gs = [holonomy(conn, fig.arc_segments[e], 1e-11) for e in ("e1", "e2", "e3")]
         slot_pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
         reports = []
         for s1, s2 in slot_pairs:
@@ -342,7 +342,7 @@ def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
             c2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             f1 = lambda M, c=c1: float(np.real(np.trace(c @ M)))
             f2 = lambda M, c=c2: float(np.imag(np.trace(c @ M)))
-            reports.append(fr_vs_kstar(ctx, fig, s1, f1, s2, f2, gs, rm, t=1.0))
+            reports.append(fr_vs_kstar(ctx, fig, s1, f1, s2, f2, gs_fr, rm, t=1.0))
         # cross-slot values vanish identically; score them on the scale of
         # the nonzero same-slot brackets rather than against zero
         scale = max(1.0, max(abs(r["plb_value"]) for r in reports))
@@ -388,74 +388,67 @@ def _entry_function(rng, n):
     return lambda m, c=c: float(np.imag(np.trace(c @ m)))
 
 
+def _axiom_residuals(bracket, draw, triples):
+    """Worst antisymmetry defect and cyclic Jacobi sum of ``bracket(f, g, x, fd_step=...)``.
+
+    ``draw()`` returns a point and three functions.  The inner brackets of
+    the Jacobi sum take the evaluator's default step, the outer one 1e-4.
+    """
+    worst_anti, worst_jac = 0.0, 0.0
+    for _ in range(triples):
+        x, fs = draw()
+        v12 = bracket(fs[0], fs[1], x)
+        v21 = bracket(fs[1], fs[0], x)
+        worst_anti = max(worst_anti, abs(v12 + v21) / max(1.0, abs(v12)))
+        jac = 0.0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            inner = lambda y, a=j, b=k: bracket(fs[a], fs[b], y)
+            jac += bracket(fs[i], inner, x, fd_step=1e-4)
+        worst_jac = max(worst_jac, abs(jac))
+    return worst_anti, worst_jac
+
+
 def suite_bracket_axioms(seed=0, ns=(2,), triples=10):
     rec = []
     ctx = build_algebra(2)
     rng = np.random.default_rng((seed, 6))
     rm = r_matrix(ctx, 1.0)
 
+    def entries():
+        return [_entry_function(rng, 2) for _ in range(3)]
+
     # orbit bracket
-    worst_anti, worst_jac = 0.0, 0.0
-    for _ in range(triples):
-        p = ctx.random_compact(rng, 0.6)
-        fs = [_entry_function(rng, 2) for _ in range(3)]
-        v12 = kk_bracket(ctx, fs[0], fs[1], p)
-        v21 = kk_bracket(ctx, fs[1], fs[0], p)
-        worst_anti = max(worst_anti, abs(v12 + v21) / max(1.0, abs(v12)))
-        jac = 0.0
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            inner = lambda q, a=j, b=k: kk_bracket(ctx, fs[a], fs[b], q, fd_step=1e-5)
-            jac += kk_bracket(ctx, fs[i], inner, p, fd_step=1e-4)
-        worst_jac = max(worst_jac, abs(jac))
-    rec.append(CheckRecord("axioms.kk.antisym.n2", worst_anti, 1e-8, 0.0))
-    rec.append(CheckRecord("axioms.kk.jacobi.n2", worst_jac, 1e-3, 0.0))
+    anti, jac = _axiom_residuals(partial(kk_bracket, ctx),
+                                 lambda: (ctx.random_compact(rng, 0.6), entries()), triples)
+    rec.append(CheckRecord("axioms.kk.antisym.n2", anti, 1e-8, 0.0))
+    rec.append(CheckRecord("axioms.kk.jacobi.n2", jac, 1e-3, 0.0))
 
     # group-space brackets
-    for space, label in ((BracketSpace.CompactGroup, "compact"),
-                         (BracketSpace.DualGroup, "dual"),
-                         (BracketSpace.HeisenbergDouble, "double")):
-        worst_anti, worst_jac = 0.0, 0.0
-        for _ in range(triples):
-            if space is BracketSpace.CompactGroup:
-                g = ctx.random_unitary(rng)
-            elif space is BracketSpace.DualGroup:
-                g = _random_kstar(ctx, rng).matrix
-            else:
-                g = _random_sl(ctx, rng, 0.5)
-            fs = [_entry_function(rng, 2) for _ in range(3)]
-            v12 = sklyanin_eval(ctx, space, fs[0], fs[1], g, rm)
-            v21 = sklyanin_eval(ctx, space, fs[1], fs[0], g, rm)
-            worst_anti = max(worst_anti, abs(v12 + v21) / max(1.0, abs(v12)))
-            jac = 0.0
-            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                inner = lambda q, a=j, b=k: sklyanin_eval(ctx, space, fs[a], fs[b], q, rm,
-                                                          fd_step=1e-5)
-                jac += sklyanin_eval(ctx, space, fs[i], inner, g, rm, fd_step=1e-4)
-            worst_jac = max(worst_jac, abs(jac))
-        rec.append(CheckRecord(f"axioms.{label}.antisym.n2", worst_anti, 1e-7, 0.0))
-        rec.append(CheckRecord(f"axioms.{label}.jacobi.n2", worst_jac, 1e-3, 0.0))
+    for space, label, sample in (
+            (BracketSpace.CompactGroup, "compact", lambda: ctx.random_unitary(rng)),
+            (BracketSpace.DualGroup, "dual", lambda: _random_kstar(ctx, rng).matrix),
+            (BracketSpace.HeisenbergDouble, "double", lambda: _random_sl(ctx, rng, 0.5))):
+        anti, jac = _axiom_residuals(partial(sklyanin_eval, ctx, space, rmat=rm),
+                                     lambda: (sample(), entries()), triples)
+        rec.append(CheckRecord(f"axioms.{label}.antisym.n2", anti, 1e-7, 0.0))
+        rec.append(CheckRecord(f"axioms.{label}.jacobi.n2", jac, 1e-3, 0.0))
 
     # graph bracket on the shipped graph
     fig = figure_three()
-    worst_anti, worst_jac = 0.0, 0.0
-    for _ in range(triples):
+
+    def graph_draw():
         conn = GraphConnection({e: _random_sl(ctx, rng, 0.45) for e in ("e1", "e2", "e3")})
         fs = []
         for _k in range(3):
             edge = ("e1", "e2", "e3")[rng.integers(3)]
             f = _entry_function(rng, 2)
             fs.append(lambda a, f=f, e=edge: f(a[e]))
-        v12 = fr_bracket(ctx, fig.bracket_graph, fs[0], fs[1], conn, rm)
-        v21 = fr_bracket(ctx, fig.bracket_graph, fs[1], fs[0], conn, rm)
-        worst_anti = max(worst_anti, abs(v12 + v21) / max(1.0, abs(v12)))
-        jac = 0.0
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            inner = lambda a, x=j, y=k: fr_bracket(ctx, fig.bracket_graph, fs[x], fs[y],
-                                                   a, rm, fd_step=1e-6)
-            jac += fr_bracket(ctx, fig.bracket_graph, fs[i], inner, conn, rm, fd_step=1e-4)
-        worst_jac = max(worst_jac, abs(jac))
-    rec.append(CheckRecord("axioms.graph.antisym.n2", worst_anti, 1e-7, 0.0))
-    rec.append(CheckRecord("axioms.graph.jacobi.n2", worst_jac, 1e-3, 0.0))
+        return conn, fs
+
+    anti, jac = _axiom_residuals(partial(fr_bracket, ctx, fig.bracket_graph, rmat=rm),
+                                 graph_draw, triples)
+    rec.append(CheckRecord("axioms.graph.antisym.n2", anti, 1e-7, 0.0))
+    rec.append(CheckRecord("axioms.graph.jacobi.n2", jac, 1e-3, 0.0))
     return rec
 
 
@@ -514,11 +507,8 @@ def run_suites(names, seed=0, ns=(2, 3), profile="full", progress=None):
     overrides = PROFILES[profile]
     for name in names:
         fn = SUITES[name]
-        kw = dict(overrides.get(name, {}))
-        if name not in ("bracket_axioms", "moment_oracle"):
-            kw["ns"] = ns
         t0 = time.perf_counter()
-        records = fn(seed=seed, **kw)
+        records = fn(seed=seed, ns=ns, **overrides.get(name, {}))
         elapsed = time.perf_counter() - t0
         for r in records:
             if r.wall_time == 0.0:

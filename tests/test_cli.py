@@ -203,8 +203,57 @@ _BAD_CONFIGS = {
 }
 
 
+def _edited_catalogue(edit):
+    from trinion.holonomy import builtin_catalogue
+
+    payload = builtin_catalogue().to_dict()
+    edit(payload, {c["name"]: c for c in payload["contours"]})
+    return payload
+
+
+def _first_crossing(contours, **change):
+    contours["eight_narrow"]["intersections"][0].update(change)
+
+
+# each edit of the built-in catalogue is read by `bracket goldman --catalogue`
+_BAD_CATALOGUES = {
+    "catalogue_no_segments": lambda p, c: c["gamma1"].update(segments=[]),
+    "catalogue_seg_index": lambda p, c: _first_crossing(c, seg_param=[7, 0.5]),
+    "catalogue_other_seg_index": lambda p, c: _first_crossing(c, other_seg_param=[7, 0.5]),
+    "catalogue_seg_index_fraction": lambda p, c: _first_crossing(c, seg_param=[0.7, 0.5]),
+    "catalogue_param_range": lambda p, c: _first_crossing(c, seg_param=[0, 1.7]),
+    "catalogue_unknown_pair": lambda p, c: p["pairs"].append(["nope", "gamma1"]),
+    "catalogue_nan_radius": lambda p, c: c["circle_plus"]["segments"][0].update(
+        radius=float("nan")),
+    "catalogue_gap": lambda p, c: c["gamma1"]["segments"][0].update(end=[0.4, 0.0]),
+}
+
+
+def _real(rows):
+    return [[[float(x), 0.0] for x in row] for row in rows]
+
+
+_EYE2 = _real(np.eye(2))
+_BAD_MATRICES = {
+    "chi_nonsquare": (["map", "chi", "--input"],
+                      {"matrices": [_real([[1, 2, 3], [4, 5, 6]])] * 3}),
+    "chi_singular": (["map", "chi", "--input"],
+                     {"matrices": [_real([[1, 0], [0, 0]]), _EYE2, _EYE2]}),
+    "chi_nan": (["map", "chi", "--input"],
+                {"matrices": [[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                              _EYE2, _EYE2]}),
+    "chi_size_not_n": (["map", "chi", "--input"], {"matrices": [_real(np.eye(3))] * 3}),
+    "xi_two_sizes": (["map", "xi", "--input"],
+                     {"matrices": [_real([[0, 1], [-1, 0]]), _real(np.zeros((3, 3)))]}),
+    "residues_two_sizes": (["holonomy", "gamma1", "--residues"],
+                           {"X1": _real([[0, 1], [-1, 0]]), "X2": _real(np.zeros((3, 3)))}),
+    "residues_list": (["holonomy", "gamma1", "--residues"], [1, 2]),
+}
+
+
 @pytest.mark.parametrize("case", ["contours", "input_missing", "input_no_matrices",
-                                  "verify_n4", *_BAD_CONFIGS])
+                                  "verify_n4", "kstar_t0", *_BAD_CONFIGS, *_BAD_CATALOGUES,
+                                  *_BAD_MATRICES])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     if case == "contours":
         args = ["bracket", "goldman", "--contours", "foo", "bar"]
@@ -214,6 +263,14 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
         args = ["map", "chi", "--input", _write_json(tmp_path / "m.json", {"foo": 1})]
     elif case == "verify_n4":
         args = ["--n", "4", "verify", "--suite", "rmatrix"]
+    elif case == "kstar_t0":
+        args = ["--t", "0", "solve", "kstar"]
+    elif case in _BAD_CATALOGUES:
+        path = _write_json(tmp_path / "cat.json", _edited_catalogue(_BAD_CATALOGUES[case]))
+        args = ["bracket", "goldman", "--catalogue", path]
+    elif case in _BAD_MATRICES:
+        command, payload = _BAD_MATRICES[case]
+        args = [*command, _write_json(tmp_path / "m.json", payload)]
     else:
         cfg, command = _BAD_CONFIGS[case]
         args = ["--config", _write_json(tmp_path / "c.json", cfg), *command]

@@ -4,10 +4,10 @@ from scipy.linalg import expm
 
 from trinion.errors import (ConstraintViolated, GeometryError, PoleTooClose,
                             SchemaError, SpectralMismatch, ToleranceNotMet)
-from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnection,
+from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnection, _cut,
                               builtin_catalogue, goldman_function,
                               hole_conjugacy_check, holonomy, holonomy_batch,
-                              load_catalogue, rebased_from_prefix,
+                              load_catalogue, rebased_holonomies,
                               resolved_segments, sigma_check, word_segments, xi_map)
 from trinion.lie_core import build_algebra, weyl_normalize
 from trinion.orbits import solve_moment_zero
@@ -162,7 +162,7 @@ def test_su2_trace_oracle():
                 assert abs(got - want) <= 1e-9 * abs(want)
 
 
-def test_batch_matches_single_and_checkpoints():
+def test_batch_matches_single_and_rebased_pieces():
     x1 = CTX2.random_compact(RNG, 0.3)
     x2 = CTX2.random_compact(RNG, 0.3)
     conn = RationalConnection(X1=x1, X2=x2, scale=1.0)
@@ -170,15 +170,18 @@ def test_batch_matches_single_and_checkpoints():
     single = holonomy(conn, c, 1e-11)
     batch = holonomy_batch(x1[None], x2[None], 1.0, c, 1e-11)
     assert np.linalg.norm(batch[0] - single) < 1e-10
-    # prefix re-basing equals integrating the re-based contour directly
-    d = [i for i in c.intersections if i.other == "circle_minus"][0]
-    full, prefs = holonomy_batch(x1[None], x2[None], 1.0, c, 1e-11,
-                                 checkpoints=[d.seg_param])
-    reb = rebased_from_prefix(full[0], prefs[0][0])
-    from trinion.holonomy import _rebase
-
-    direct = holonomy(conn, _rebase(c.segments, *d.seg_param), 1e-11)
-    assert np.linalg.norm(reb - direct) < 1e-9
+    # the product of the pieces equals transporting the rotated piece list;
+    # gamma1 is cut on a line segment, eight_narrow at its double_wind crossings
+    eight = CAT.contours["eight_narrow"]
+    crossings = [d.seg_param for d in eight.intersections if d.other == "double_wind"]
+    assert len(crossings) == 6
+    for segs, cuts in ((eight.segments, crossings),
+                       (CAT.contours["gamma1"].segments, [(0, 0.4)])):
+        pieces, marks = _cut(segs, cuts), sorted(cuts)
+        for cut, reb in zip(cuts, rebased_holonomies(conn, segs, cuts, 1e-11)):
+            j = marks.index(cut) + 1
+            rotated = [s for piece in pieces[j:] + pieces[:j] for s in piece]
+            assert np.linalg.norm(reb - holonomy(conn, rotated, 1e-11)) < 1e-9
 
 
 def test_pole_too_close():
