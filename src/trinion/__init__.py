@@ -12,8 +12,7 @@ from .lie_core import (AlgebraContext, CartanVector, RMatrix, bar, build_algebra
                        cybe_residual, pair, r_matrix, weyl_normalize)
 from .decompositions import (BracketSpace, KStarElement, SKElement, dressing_action,
                              e_map, f_inverse, f_map, iwasawa, iwasawa_dual,
-                             kstar_from_matrix, moment_maps, pi_star_L, pi_star_R,
-                             sklyanin_eval)
+                             kstar_from_matrix, moment_maps, sklyanin_eval)
 from .orbits import (DressingOrbitPoint, MomentSolution, NoSolution, OrbitPoint,
                      diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
                      orbit_point, sample_orbit, solve_moment_kstar,

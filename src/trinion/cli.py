@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _serialize
 from .decompositions import BracketSpace, sklyanin_eval
-from .errors import SchemaError, TrinionError
+from .errors import ConstraintViolated, SchemaError, TrinionError
 from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
@@ -35,7 +35,7 @@ DEFAULT_CONFIG = {
     "t": np.pi,
     "u": None,
     "thetas": [[0.3, -0.3], [0.3, -0.3], [0.3, -0.3]],
-    "tolerances": {"ode": 1e-10, "fd": 1e-5, "constraint": 1e-10, "check_scale": 1.0},
+    "tolerances": {"ode": 1e-10, "fd": 1e-5, "constraint": 1e-10},
     "seed": 0,
     "suite": "all",
     "profile": "quick",
@@ -92,10 +92,7 @@ def validate_config(cfg):
     for key, val in cfg["tolerances"].items():
         if not _is_number(val):
             raise SchemaError(f"tolerance {key} must be a finite number")
-        if key == "check_scale":
-            if val < 0:
-                raise SchemaError("check_scale must be nonnegative")
-        elif not val > 0:
+        if not val > 0:
             raise SchemaError(f"tolerance {key} must be positive")
     thetas = cfg["thetas"]
     if not _is_rows(thetas):
@@ -149,10 +146,6 @@ def cmd_verify(cfg):
                          progress=lambda nm, recs, el: print(
                              f"[{nm}] {sum(r.status for r in recs)}/{len(recs)} "
                              f"in {el:.1f}s", file=sys.stderr))
-    scale = cfg["tolerances"]["check_scale"]
-    if scale != 1.0:
-        for r in records:
-            r.tolerance *= scale
     rows = [r.row() for r in records]
     report = {
         "environment": {"python": platform.python_version(),
@@ -197,8 +190,7 @@ def cmd_map(cfg, which, inputs):
     ctx = build_algebra(cfg["n"])
     mats = _serialize.matrices_from_json(inputs)
     if which == "xi":
-        x3 = mats[2] if len(mats) > 2 else None
-        conn = xi_map(mats[0], mats[1], x3, t=cfg["t"])
+        conn = _connection(mats[0], mats[1], mats[2] if len(mats) > 2 else None, cfg["t"])
         payload = {"X1": _serialize.matrix_to_json(conn.X1),
                    "X2": _serialize.matrix_to_json(conn.X2),
                    "X3": _serialize.matrix_to_json(conn.X3),
@@ -209,7 +201,7 @@ def cmd_map(cfg, which, inputs):
         if any(np.linalg.matrix_rank(m) < len(m) for m in mats[:3]):
             raise SchemaError("map chi needs invertible matrices")
         u = None if cfg["u"] is None else np.asarray(cfg["u"])
-        ks = chi_map(ctx, mats[0], mats[1], mats[2], t=cfg["t"], u=u)
+        ks = chi_map(ctx, mats[0], mats[1], mats[2], u=u)
         payload = {f"kstar{i+1}": _serialize.matrix_to_json(k.matrix)
                    for i, k in enumerate(ks)}
     _write(payload, cfg["out"])
@@ -249,10 +241,18 @@ def cmd_bracket(cfg, kind, args):
         fig = figure_three()
         gs = [_random_sl(ctx, rng, 0.4) for _ in range(3)]
         f1, f2 = entry_fn(0, 0, "real"), entry_fn(0, 1, "imag")
-        rep = fr_vs_kstar(ctx, fig, 0, f1, 0, f2, gs, rm, t=cfg["t"], u=u)
+        rep = fr_vs_kstar(ctx, fig, 0, f1, 0, f2, gs, rm, u=u)
         payload = rep
     _write(payload, cfg["out"])
     return 0
+
+
+def _connection(x1, x2, x3, t):
+    """``xi_map`` for the commands: residues that break its constraints are a schema error."""
+    try:
+        return xi_map(x1, x2, x3, t=t)
+    except ConstraintViolated as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _contour(cat, name):
@@ -277,7 +277,7 @@ def cmd_holonomy(cfg, args):
         rng = np.random.default_rng(cfg["seed"])
         x1 = ctx.random_compact(rng, 0.3)
         x2 = ctx.random_compact(rng, 0.3)
-    conn = xi_map(x1, x2, None, t=cfg["t"])
+    conn = _connection(x1, x2, None, cfg["t"])
     h = holonomy(conn, contour, cfg["tolerances"]["ode"])
     _write({"contour": args.contour, "holonomy": _serialize.matrix_to_json(h),
             "trace": complex(np.trace(h))}, cfg["out"])

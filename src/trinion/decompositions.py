@@ -29,8 +29,6 @@ __all__ = [
     "BracketSpace",
     "iwasawa",
     "iwasawa_dual",
-    "pi_star_L",
-    "pi_star_R",
     "f_map",
     "f_inverse",
     "e_map",
@@ -142,14 +140,6 @@ def iwasawa_dual(ctx, g, u=None):
     return kstar_from_matrix(ctx, kstar), k
 
 
-def pi_star_R(ctx, g, u=None):
-    return iwasawa(ctx, g, u=u)[1]
-
-
-def pi_star_L(ctx, g, u=None):
-    return iwasawa_dual(ctx, g, u=u)[0]
-
-
 # ---------------------------------------------------------------------------
 # the maps f and e
 # ---------------------------------------------------------------------------
@@ -212,9 +202,7 @@ def moment_maps(ctx, g, u=None):
     ``m_L(g)`` is the starred-left factor of g and ``m_R(g)`` the inverse of
     the starred-right factor.
     """
-    m_left = pi_star_L(ctx, g, u=u)
-    m_right = pi_star_R(ctx, g, u=u)
-    return m_left, m_right.inverse(ctx)
+    return iwasawa_dual(ctx, g, u=u)[0], iwasawa(ctx, g, u=u)[1].inverse(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,15 @@ def figure_three():
                        arc_segments=arcs)
 
 
-def chi_map(ctx, g1, g2, g3, t=1.0, u=None):
+def chi_map(ctx, g1, g2, g3, u=None):
     """Project a holonomy triple to the dual-group triple.
 
     ``k*_1`` is the starred-left factor of ``g1``; each later factor first
     pushes the accumulated unitary remainder into the next holonomy.  Left
     multiplication of ``g1`` by a unitary maps to the diagonal dressing
     action on the output, and ``g1 g2 g3 = e`` forces the product of the
-    outputs to be the identity.  Each factor is one ``iwasawa_dual``.
+    outputs to be the identity.  Each factor is one ``iwasawa_dual``.  There
+    is no ``t`` here: it reaches the holonomies through the connection's scale.
     """
     k1, r1 = iwasawa_dual(ctx, g1, u=u)
     k2, r2 = iwasawa_dual(ctx, r1 @ g2, u=u)
@@ -298,8 +299,7 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     return {"casimir_form": cas, "trace_form": tr, "points": points}
 
 
-def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, t=1.0, u=None,
-                fd_step=1e-6):
+def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, u=None):
     """Compare the graph bracket of dual-group pullbacks with the direct bracket.
 
     ``f1``/``f2`` are scalar functions on a dual-group factor (slots 0..2);
@@ -312,12 +312,12 @@ def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, t=1.0, u=None,
     conn = GraphConnection({"e1": gs[0], "e2": gs[1], "e3": gs[2]})
 
     def pulled(a):
-        ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], t, u)
+        ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], u)
         return f1(ks[slot1].matrix), f2(ks[slot2].matrix)
 
-    fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, fd_step)
+    fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, 1e-6)
     if slot1 == slot2:
-        point = chi_map(ctx, gs[0], gs[1], gs[2], t, u)[slot1]
+        point = chi_map(ctx, gs[0], gs[1], gs[2], u)[slot1]
         plb = sklyanin_eval(ctx, BracketSpace.DualGroup, f1, f2, point, rmat,
                             fd_step=1e-5)
     else:

@@ -175,36 +175,32 @@ class Contour:
     name: str
     word: tuple
     segments: list
-    orientation: str = "ccw"
     tau_image: str = None
     intersections: list = field(default_factory=list)
 
-    def reversed(self, name=None):
-        return Contour(name=name or self.name + "_inv",
+    def reversed(self):
+        return Contour(name=self.name + "_inv",
                        word=tuple(_invert_letter(w) for w in reversed(self.word)),
-                       segments=[s.reverse() for s in reversed(self.segments)],
-                       orientation={"cw": "ccw", "ccw": "cw"}.get(self.orientation, self.orientation),
-                       tau_image=None)
+                       segments=[s.reverse() for s in reversed(self.segments)])
 
     def reflected(self):
         """Pointwise complex conjugate of the path (same parameter order)."""
         return Contour(name=self.name + "_tau", word=self.word,
-                       segments=[s.reflect() for s in self.segments],
-                       orientation=self.orientation, tau_image=self.name)
+                       segments=[s.reflect() for s in self.segments], tau_image=self.name)
 
-    def validate(self, margin=POLE_MARGIN):
+    def validate(self):
         for a, b in zip(self.segments[:-1], self.segments[1:]):
             if abs(a.z(1.0) - b.z(0.0)) > 1e-10:
                 raise GeometryError(f"{self.name}: segments do not concatenate")
         bad = min(s.pole_distance() for s in self.segments)
-        if bad < margin - 1e-12:
-            raise GeometryError(f"{self.name}: pole margin {bad:.3f} < {margin}")
+        if bad < POLE_MARGIN - 1e-12:
+            raise GeometryError(f"{self.name}: pole margin {bad:.3f} < {POLE_MARGIN}")
         return self
 
     def to_dict(self):
         return {"name": self.name, "word": list(self.word),
                 "segments": [s.to_dict() for s in self.segments],
-                "orientation": self.orientation, "tau_image": self.tau_image,
+                "tau_image": self.tau_image,
                 "intersections": [i.to_dict() for i in self.intersections]}
 
 
@@ -243,18 +239,18 @@ class RationalConnection:
         return worst
 
 
-def xi_map(x1, x2, x3=None, t=np.pi, tol=1e-8):
+def xi_map(x1, x2, x3=None, t=np.pi):
     """Build the rational connection attached to a zero-sum orbit triple.
 
     ``scale = t/pi``; the default ``t = pi`` gives the bare residue form.
     Raises ``ConstraintViolated`` when the residues do not sum to zero
-    within ``tol`` or are not anti-Hermitian.
+    within 1e-8 or are not anti-Hermitian.
     """
     x1 = x1.X if hasattr(x1, "X") else np.asarray(x1)
     x2 = x2.X if hasattr(x2, "X") else np.asarray(x2)
     if x3 is not None:
         x3 = x3.X if hasattr(x3, "X") else np.asarray(x3)
-        if np.linalg.norm(x1 + x2 + x3) > tol:
+        if np.linalg.norm(x1 + x2 + x3) > 1e-8:
             raise ConstraintViolated("residues do not sum to zero")
     for x in (x1, x2):
         if np.max(np.abs(x + x.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(x))):
@@ -477,21 +473,18 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
 def sigma_check(conn, contour, tol=1e-10):
     """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` for the reflected path."""
     h = holonomy(conn, contour, tol)
-    href = holonomy(conn, contour.reflected() if isinstance(contour, Contour)
-                    else [s.reflect() for s in contour], tol)
+    href = holonomy(conn, contour.reflected(), tol)
     return float(np.linalg.norm(href - np.linalg.inv(h.conj().T)))
 
 
-def hole_conjugacy_check(conn, j, H, t, tol=1e-7, ode_tol=1e-10, catalogue=None):
-    """Compare the spectrum of the j-th hole holonomy with ``exp(2 i t H)``.
+def hole_conjugacy_check(hol, j, H, t, tol=1e-7):
+    """Compare the spectrum of ``hol``, the j-th hole holonomy, with ``exp(2 i t H)``.
 
     Returns a report dict with the sorted eigenvalues, targets, and maximum
     relative error; raises ``SpectralMismatch`` beyond ``tol``.  Also checks
     hyperbolicity (positive real spectrum).
     """
-    cat = catalogue or builtin_catalogue()
-    loop = cat.contours[f"gamma{j}"]
-    ev = np.linalg.eigvals(holonomy(conn, loop, ode_tol))
+    ev = np.linalg.eigvals(hol)
     target = np.sort(np.exp(-2.0 * t * np.array(H.theta)))
     ev_sorted = np.sort(ev.real)
     hyperbolic = bool(np.all(ev.real > 0) and np.max(np.abs(ev.imag)) < tol * np.max(np.abs(ev)))
@@ -516,10 +509,9 @@ def goldman_function(conn, contour, tol=1e-10):
 class Catalogue:
     """Named contours plus curated intersection data for bracket evaluation."""
 
-    def __init__(self, contours, pair_names, hole_names=("gamma1", "gamma2", "gamma3")):
+    def __init__(self, contours, pair_names):
         self.contours = contours
         self.pair_names = pair_names
-        self.hole_names = hole_names
 
     def validate(self):
         """Check the geometry, the crossing locations and the pairs; raise ``SchemaError``."""
@@ -549,8 +541,7 @@ class Catalogue:
 
     def to_dict(self):
         return {"contours": [c.to_dict() for c in self.contours.values()],
-                "pairs": [list(p) for p in self.pair_names],
-                "holes": list(self.hole_names)}
+                "pairs": [list(p) for p in self.pair_names]}
 
 
 def word_segments(catalogue, word):
@@ -667,40 +658,34 @@ _RESOLUTION_WORDS = {
 def builtin_catalogue():
     """The shipped contour set: hole loops, products, and crossing pairs."""
     cont = {}
-    for j, word, orient in ((1, ("gamma1",), "cw"), (2, ("gamma2",), "cw"),
-                            (3, ("gamma3",), "ccw")):
+    for j in (1, 2, 3):
         cont[f"gamma{j}"] = Contour(name=f"gamma{j}", word=(f"gamma{j}",),
-                                    segments=_hole_loop(j), orientation=orient,
-                                    tau_image=f"gamma{j}_inv")
+                                    segments=_hole_loop(j), tau_image=f"gamma{j}_inv")
     for j in (1, 2, 3):
         cont[f"gamma{j}_inv"] = cont[f"gamma{j}"].reversed()
         cont[f"gamma{j}_inv"].tau_image = f"gamma{j}"
 
     cont["eight_narrow"] = Contour(
         name="eight_narrow", word=("gamma1", "gamma2_inv"),
-        segments=_eight(1.0, (-1, +1)), orientation="mixed")
+        segments=_eight(1.0, (-1, +1)))
     cont["eight_wide_rev"] = Contour(
         name="eight_wide_rev", word=("gamma2", "gamma1_inv"),
-        segments=[s.reverse() for s in reversed(_eight(1.25, (-1, +1)))],
-        orientation="mixed")
+        segments=[s.reverse() for s in reversed(_eight(1.25, (-1, +1)))])
     cont["eight_wide"] = Contour(
         name="eight_wide", word=("gamma1", "gamma2_inv"),
-        segments=_eight(1.25, (-1, +1)), orientation="mixed")
+        segments=_eight(1.25, (-1, +1)))
     cont["double_wind"] = Contour(
         name="double_wind", word=("gamma1", "gamma2", "gamma2"),
-        segments=_eight(1.45, (-1, -1), winds=(1, 2)), orientation="cw")
+        segments=_eight(1.45, (-1, -1), winds=(1, 2)))
     cont["circle_both"] = Contour(
         name="circle_both", word=("gamma1", "gamma2"),
-        segments=[ArcSegment(0.0, 1.5, np.pi / 2, np.pi / 2 - 2 * np.pi)],
-        orientation="cw")
+        segments=[ArcSegment(0.0, 1.5, np.pi / 2, np.pi / 2 - 2 * np.pi)])
     cont["circle_plus"] = Contour(
         name="circle_plus", word=("gamma1",),
-        segments=[ArcSegment(1.0, 1.3, np.pi / 2, np.pi / 2 - 2 * np.pi)],
-        orientation="cw")
+        segments=[ArcSegment(1.0, 1.3, np.pi / 2, np.pi / 2 - 2 * np.pi)])
     cont["circle_minus"] = Contour(
         name="circle_minus", word=("gamma2",),
-        segments=[ArcSegment(-1.0, 1.3, np.pi / 2, np.pi / 2 - 2 * np.pi)],
-        orientation="cw")
+        segments=[ArcSegment(-1.0, 1.3, np.pi / 2, np.pi / 2 - 2 * np.pi)])
 
     pair_names = [("eight_narrow", "eight_wide_rev"),
                   ("eight_narrow", "double_wind"),
@@ -728,10 +713,8 @@ def _seg_param(pair):
     return (pair[0], float(pair[1]))
 
 
-def load_catalogue(path=None):
-    """Load a contour catalogue from JSON, or the built-in set when no path."""
-    if path is None:
-        return builtin_catalogue()
+def load_catalogue(path):
+    """Load a contour catalogue from a JSON file."""
     import json
 
     try:
@@ -741,7 +724,6 @@ def load_catalogue(path=None):
         for cd in data["contours"]:
             c = Contour(name=cd["name"], word=tuple(cd["word"]),
                         segments=[_segment_from_dict(s) for s in cd["segments"]],
-                        orientation=cd.get("orientation", "ccw"),
                         tau_image=cd.get("tau_image"))
             for idt in cd.get("intersections", []):
                 c.intersections.append(IntersectionDatum(
@@ -752,7 +734,7 @@ def load_catalogue(path=None):
                     other_seg_param=_seg_param(idt.get("other_seg_param"))))
             contours[c.name] = c
         pairs = [tuple(p) for p in data.get("pairs", [])]
-        cat = Catalogue(contours, pairs, tuple(data.get("holes", ("gamma1", "gamma2", "gamma3"))))
+        cat = Catalogue(contours, pairs)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed catalogue file: {exc}") from exc
     return cat.validate()

@@ -125,17 +125,8 @@ class AlgebraContext:
         over the reals.
     cartan_basis : ndarray, shape (n-1, n, n)
         The orthonormal Cartan elements ``i diag(v_m)``.
-    simple_cartan : ndarray, shape (n-1, n, n)
-        Simple coroot generators ``h_i = i (E_ii - E_{i+1,i+1})``.
-    dual_cartan : ndarray, shape (n-1, n, n)
-        Basis dual to ``simple_cartan`` under ``pair``.
     positive_roots : list of (j, k)
         Index pairs with j < k; the root generator is ``E_jk``.
-    simple_roots : list of int
-        Positions of the simple roots inside ``positive_roots``.
-    casimir : ndarray, shape (N, N)
-        Coefficients of the tensor Casimir over the compact basis (the
-        identity matrix, since the basis is orthonormal).
     cartan_frame : ndarray, shape (n-1, n)
         Rows ``v_m`` realizing ``cartan_basis[m] = i diag(v_m)``; maps
         diagonal spectra to Cartan coordinates.
@@ -161,18 +152,7 @@ class AlgebraContext:
         self.cartan_basis = cart
         self.real_basis = np.concatenate([self.compact_basis, 1j * self.compact_basis])
         self.positive_roots = offs
-        self.simple_roots = [offs.index((j, j + 1)) for j in range(n - 1)]
-
-        self.simple_cartan = np.array(
-            [1j * (np.diag(np.eye(n)[i]) - np.diag(np.eye(n)[i + 1])) for i in range(n - 1)]
-        )
-        gram = np.array(
-            [[pair(a, b).real for b in self.simple_cartan] for a in self.simple_cartan]
-        )
-        self.dual_cartan = np.einsum("ij,jkl->ikl", np.linalg.inv(gram), self.simple_cartan)
-
         self.dim_compact = n * n - 1
-        self.casimir = np.eye(self.dim_compact)
         self._structure = None
         self._fd_exponentials = {}
 
@@ -279,18 +259,18 @@ class CartanVector:
         return 1j * np.diag(np.array(self.theta))
 
 
-def weyl_normalize(theta, tol=1e-12):
+def weyl_normalize(theta):
     """Map a spectrum vector into the closed chamber and validate genericity.
 
     Sorts the entries in decreasing order.  Raises ``InvalidSpectrum`` when
-    the entries do not sum to zero within ``tol`` and ``BoundaryOrbit`` when
-    two entries collide (the orbit would not have maximal dimension).
+    the entries do not sum to zero within 1e-12 and ``BoundaryOrbit`` when
+    two entries come within 1e-12 (the orbit would not have maximal dimension).
     """
     theta = np.asarray(theta, dtype=float)
-    if abs(theta.sum()) > tol:
+    if abs(theta.sum()) > 1e-12:
         raise InvalidSpectrum(f"entries sum to {theta.sum():.3e}, expected 0")
     s = np.sort(theta)[::-1]
-    if np.min(np.abs(np.diff(s))) <= tol:
+    if np.min(np.abs(np.diff(s))) <= 1e-12:
         raise BoundaryOrbit("repeated spectrum entries: boundary of the Weyl chamber")
     return CartanVector(tuple(float(x) for x in s))
 
@@ -300,12 +280,9 @@ class RMatrix:
     """Pair of classical r-matrices for the (t, u) family, over the real basis.
 
     ``tensor`` holds the coefficients of the plus matrix; the minus matrix is
-    ``-P(plus)`` (``P`` = slot flip), i.e. minus the transposed array.  ``u``
-    is the antisymmetric twist acting on Cartan coordinates.
+    ``-P(plus)`` (``P`` = slot flip), i.e. minus the transposed array.
     """
 
-    t: float
-    u: np.ndarray
     tensor: np.ndarray
     minus_tensor: np.ndarray = field(repr=False, default=None)
 
@@ -369,7 +346,7 @@ def r_matrix(ctx, t, u=None):
     for a, b in pairs:
         coeff += np.outer(ctx.real_coords(a), ctx.real_coords(b))
     coeff *= t
-    return RMatrix(t=float(t), u=u, tensor=coeff, minus_tensor=-coeff.T)
+    return RMatrix(tensor=coeff, minus_tensor=-coeff.T)
 
 
 def cybe_residual(ctx, coeff):

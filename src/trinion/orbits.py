@@ -145,6 +145,7 @@ def _exp_su(ctx, w):
 
 
 _MAX_ITER = 200
+_RANK_THRESHOLD = 1e-8  # relative singular-value cutoff of the dimension count
 
 
 def _norms(f):
@@ -258,10 +259,10 @@ def _commutator_coords(ctx, xs):
     return -np.real(np.einsum("bij,...aji->...ba", basis, comms))
 
 
-def _regularity(ctx, xs, threshold=1e-6):
+def _regularity(ctx, xs):
     """Rank of the diagonal-action differential; detects continuous stabilizers."""
     sv = np.linalg.svd(_commutator_coords(ctx, xs), compute_uv=False)
-    return int(np.sum(sv > threshold))
+    return int(np.sum(sv > 1e-6))
 
 
 def _zero_callbacks(ctx, hs):
@@ -389,11 +390,11 @@ def _align_first(ctx, x1):
     return vecs / np.linalg.det(vecs) ** (1.0 / ctx.n)
 
 
-def _torus_phases(ctx, x2, tol=1e-10):
+def _torus_phases(ctx, x2):
     """Diagonal phases making the superdiagonal of x2 real nonnegative."""
     n = ctx.n
     sup = np.array([x2[m, m + 1] for m in range(n - 1)])
-    if np.min(np.abs(sup)) < tol:
+    if np.min(np.abs(sup)) < 1e-10:
         raise NonRegular("vanishing superdiagonal entry: residual torus not fixable")
     delta = np.angle(sup)  # phi_m - phi_{m+1}; conjugation scales entry by e^{-i delta}
     phi = np.zeros(n)
@@ -447,12 +448,12 @@ def gauge_fix(ctx, solution):
                           regularity_rank=rank, t=t, u=u, trial=solution.trial)
 
 
-def tangent_rank(ctx, solution, threshold=1e-8):
+def tangent_rank(ctx, solution):
     """Dimension of the reduced multiplicity space at a regular solution.
 
     Computed as dim ker(constraint differential on orbit tangents) minus the
     dimension of the diagonal-action orbit; a singular value counts as nonzero
-    above ``threshold * max(1, sigma_max)``.  Raises ``IllConditioned`` when
+    above ``1e-8 * max(1, sigma_max)``.  Raises ``IllConditioned`` when
     singular values cluster at the threshold and ``NonRegular`` when the
     diagonal action has a continuous stabilizer.
     """
@@ -468,21 +469,21 @@ def tangent_rank(ctx, solution, threshold=1e-8):
         jac, moved = _dressing_jacobian(ctx, bases, steps, ks, _dressed(ctx, bases, ks, u), u)
         blocks = [d.reshape(nb, -1).view(float).T for d in moved]
         xs = [_dual_log(ctx, p.kstar, t) for p in solution.points]
-    rank_j = _rank(jac, threshold)
-    slot_nullity = sum(nb - _rank(block, threshold) for block in blocks)
+    rank_j = _rank(jac)
+    slot_nullity = sum(nb - _rank(block) for block in blocks)
     reg_rank = _regularity(ctx, xs)
     if reg_rank < nb:
         raise NonRegular("continuous stabilizer: reduced space is singular here")
     return (3 * nb - rank_j) - slot_nullity - reg_rank
 
 
-def _rank(m, threshold):
-    """Number of singular values above ``threshold * max(1, sigma_max)``.
+def _rank(m):
+    """Number of singular values above ``_RANK_THRESHOLD * max(1, sigma_max)``.
 
     Raises ``IllConditioned`` for a singular value within a factor of 10 of
-    ``threshold``.
+    ``_RANK_THRESHOLD``.
     """
     sv = np.linalg.svd(m, compute_uv=False)
-    if np.any((sv > 0.1 * threshold) & (sv < 10.0 * threshold)):
+    if np.any((sv > 0.1 * _RANK_THRESHOLD) & (sv < 10.0 * _RANK_THRESHOLD)):
         raise IllConditioned("singular values cluster at the rank threshold")
-    return int(np.sum(sv > threshold * max(1.0, sv[0])))
+    return int(np.sum(sv > _RANK_THRESHOLD * max(1.0, sv[0])))

@@ -197,7 +197,7 @@ def _gauge_fixed_solutions(ctx, seed, count, lo=0.15, hi=0.6):
 # 4. geometry of the connection image
 # ---------------------------------------------------------------------------
 
-def suite_xi_geometry(seed=0, ns=(2, 3), count=20, t=np.pi):
+def suite_xi_geometry(seed=0, ns=(2, 3), count=20):
     rec = []
     cat = builtin_catalogue()
     sigma_names = ["gamma1", "gamma2", "gamma3", "eight_narrow", "circle_both"]
@@ -207,20 +207,18 @@ def suite_xi_geometry(seed=0, ns=(2, 3), count=20, t=np.pi):
         worst_sigma, worst_spec, worst_prod = 0.0, 0.0, 0.0
         hyper_ok = True
         for sol in sols:
-            conn = xi_map(*sol.points, t=t)
+            conn = xi_map(*sol.points)
             for name in sigma_names:
                 worst_sigma = max(worst_sigma, sigma_check(conn, cat.contours[name], 1e-11))
-            hols = []
-            for j, p in enumerate(sol.points, start=1):
+            hols = [holonomy(conn, cat.contours[f"gamma{j}"], 1e-10) for j in (1, 2, 3)]
+            for j, (hol, p) in enumerate(zip(hols, sol.points), start=1):
                 try:
-                    rep = hole_conjugacy_check(conn, j, p.H, t, tol=1e-7,
-                                               ode_tol=1e-10, catalogue=cat)
+                    rep = hole_conjugacy_check(hol, j, p.H, np.pi, tol=1e-7)
                     worst_spec = max(worst_spec, rep["max_rel_err"])
                     hyper_ok = hyper_ok and rep["hyperbolic"]
                 except SpectralMismatch:
                     hyper_ok = False
                     worst_spec = np.inf
-                hols.append(holonomy(conn, cat.contours[f"gamma{j}"], 1e-10))
             prod = hols[2] @ hols[1] @ hols[0]
             worst_prod = max(worst_prod, float(np.linalg.norm(prod - np.eye(n))))
         rec.append(CheckRecord(f"xi.sigma.n{n}", worst_sigma, 1e-9, 0.0))
@@ -243,7 +241,7 @@ def _kk_from_gradients(ctx, x1, x2, ga, gb):
     return out
 
 
-def suite_goldman(seed=0, ns=(2, 3), points=20, fd_step=1e-5, ode_tol=1e-10):
+def suite_goldman(seed=0, ns=(2, 3), points=20):
     """Orbit bracket of two holonomy traces against the signed crossing sum.
 
     Each random residue point is shared by all catalogue pairs, so every
@@ -253,6 +251,7 @@ def suite_goldman(seed=0, ns=(2, 3), points=20, fd_step=1e-5, ode_tol=1e-10):
     pairs are compared against the noise budget.
     """
     rec = []
+    fd_step, ode_tol = 1e-5, 1e-10
     cat = builtin_catalogue()
     pair_list = cat.pair_names[:5]
     names = sorted({nm for pr in pair_list for nm in pr})
@@ -312,7 +311,7 @@ def suite_goldman(seed=0, ns=(2, 3), points=20, fd_step=1e-5, ode_tol=1e-10):
 # 6. main identity, dual-group side
 # ---------------------------------------------------------------------------
 
-def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
+def suite_chi(seed=0, ns=(2, 3), count=20):
     rec = []
     fig = figure_three()
     for n in ns:
@@ -322,17 +321,17 @@ def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
         sols = _gauge_fixed_solutions(ctx, seed + 1, count)
         worst_prod, worst_spec = 0.0, 0.0
         for i, sol in enumerate(sols):
-            conn = xi_map(*sol.points, t=t)
+            conn = xi_map(*sol.points)
             gs = [holonomy(conn, fig.arc_segments[e], 1e-11) for e in ("e1", "e2", "e3")]
             if i == 0:
                 gs_fr = gs
-            ks = chi_map(ctx, *gs, t=t)
+            ks = chi_map(ctx, *gs)
             mats = [k.matrix for k in ks]
             worst_prod = max(worst_prod, float(np.linalg.norm(
                 mats[0] @ mats[1] @ mats[2] - np.eye(n))))
             for k, p in zip(ks, sol.points):
                 ev = np.sort(np.linalg.eigvalsh(f_map(k).matrix))
-                want = np.sort(np.exp(-2.0 * t * np.array(p.H.theta)))
+                want = np.sort(np.exp(-2.0 * np.pi * np.array(p.H.theta)))
                 worst_spec = max(worst_spec, float(np.max(np.abs(ev - want) / want)))
         worst_fr = 0.0
         slot_pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
@@ -342,7 +341,7 @@ def suite_chi(seed=0, ns=(2, 3), count=20, t=np.pi):
             c2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             f1 = lambda M, c=c1: float(np.real(np.trace(c @ M)))
             f2 = lambda M, c=c2: float(np.imag(np.trace(c @ M)))
-            reports.append(fr_vs_kstar(ctx, fig, s1, f1, s2, f2, gs_fr, rm, t=1.0))
+            reports.append(fr_vs_kstar(ctx, fig, s1, f1, s2, f2, gs_fr, rm))
         # cross-slot values vanish identically; score them on the scale of
         # the nonzero same-slot brackets rather than against zero
         scale = max(1.0, max(abs(r["plb_value"]) for r in reports))
@@ -371,7 +370,7 @@ def suite_dimension(seed=0, ns=(2, 3)):
         sols = _gauge_fixed_solutions(ctx, seed + 2, 2)
         worst = 0
         for sol in sols:
-            worst = max(worst, abs(tangent_rank(ctx, sol, threshold=1e-8) - expect))
+            worst = max(worst, abs(tangent_rank(ctx, sol) - expect))
         rec.append(CheckRecord(f"dimension.n{n}", float(worst), 0.0, 0.0))
     return rec
 
@@ -456,8 +455,9 @@ def suite_bracket_axioms(seed=0, ns=(2,), triples=10):
 # 9. solver against the closed-form feasibility rule
 # ---------------------------------------------------------------------------
 
-def suite_moment_oracle(seed=0, ns=(2,), grid=10, tol=1e-10, restarts=6):
+def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6):
     ctx = build_algebra(2)
+    tol = 1e-10
     values = np.linspace(0.1, 1.0, grid)
     mismatches = 0
     worst_feasible = 0.0

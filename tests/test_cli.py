@@ -51,11 +51,13 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_broken_tolerance_fails(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"check_scale": 0.0}}))
+def test_verify_broken_tolerance_fails(tmp_path, monkeypatch):
+    from trinion.verify import CheckRecord
+
+    monkeypatch.setitem(SUITES, "iwasawa",
+                        lambda **kw: [CheckRecord("iwasawa.broken", 1.0, 0.5, 0.0)])
     out = tmp_path / "report.json"
-    code = run(["--config", str(cfg), "--out", str(out), "verify", "--suite", "iwasawa"])
+    code = run(["--out", str(out), "verify", "--suite", "iwasawa"])
     assert code == 1
     report = json.loads(out.read_text())
     assert any(r["status"] == "FAIL" for r in report["checks"])
@@ -200,6 +202,7 @@ _BAD_CONFIGS = {
     "profile": ({"profile": "fast"}, ["verify", "--suite", "rmatrix"]),
     "seed_negative": ({"seed": -1}, ["solve", "zero"]),
     "t_nan": ({"t": float("nan")}, ["solve", "kstar"]),
+    "check_scale": ({"tolerances": {"check_scale": 1.0}}, ["verify", "--suite", "rmatrix"]),
 }
 
 
@@ -248,6 +251,11 @@ _BAD_MATRICES = {
     "residues_two_sizes": (["holonomy", "gamma1", "--residues"],
                            {"X1": _real([[0, 1], [-1, 0]]), "X2": _real(np.zeros((3, 3)))}),
     "residues_list": (["holonomy", "gamma1", "--residues"], [1, 2]),
+    "residues_hermitian": (["holonomy", "gamma1", "--residues"],
+                           {"X1": _real(np.diag([1, -1])), "X2": _real(np.diag([1, -1]))}),
+    "xi_hermitian": (["map", "xi", "--input"], {"matrices": [_real(np.diag([1, -1]))] * 2}),
+    "xi_sum_nonzero": (["map", "xi", "--input"],
+                       {"matrices": [[[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]] * 3}),
 }
 
 

@@ -272,5 +272,5 @@ def test_fr_vs_kstar_with_twist_and_scale():
     t = 0.75
     rm = r_matrix(ctx, t, u)
     gs = [random_sl(ctx, rng=rng) for _ in range(3)]
-    rep = fr_vs_kstar(ctx, FIG, 1, entry(rng, 3), 1, entry(rng, 3), gs, rm, t=t, u=u)
+    rep = fr_vs_kstar(ctx, FIG, 1, entry(rng, 3), 1, entry(rng, 3), gs, rm, u=u)
     assert rep["rel_err"] < 1e-5

@@ -215,12 +215,13 @@ def test_unreachable_tolerance_raises():
 
 def test_hole_conjugacy_trivial_and_su2():
     conn = xi_map(np.zeros((2, 2)), np.zeros((2, 2)), None)
-    rep = hole_conjugacy_check(conn, 1, weyl_normalize([0.0 + 1e-9, -1e-9]), 0.0)
+    hol = holonomy(conn, CAT.contours["gamma1"])
+    rep = hole_conjugacy_check(hol, 1, weyl_normalize([0.0 + 1e-9, -1e-9]), 0.0)
     assert np.max(np.abs(rep["eigenvalues"] - 1.0)) < 1e-9
 
     sol, h = su2_triple()
     conn = xi_map(*sol.points, t=np.pi)
-    rep = hole_conjugacy_check(conn, 1, h, np.pi)
+    rep = hole_conjugacy_check(holonomy(conn, CAT.contours["gamma1"]), 1, h, np.pi)
     want = np.sort([np.exp(-0.6 * np.pi), np.exp(0.6 * np.pi)])
     assert np.max(np.abs(rep["eigenvalues"] - want)) < 1e-7
     assert rep["hyperbolic"]
@@ -231,7 +232,7 @@ def test_hole_conjugacy_mismatch_raises():
     conn = xi_map(*sol.points, t=np.pi)
     wrong = weyl_normalize([0.5, -0.5])
     with pytest.raises(SpectralMismatch):
-        hole_conjugacy_check(conn, 1, wrong, np.pi)
+        hole_conjugacy_check(holonomy(conn, CAT.contours["gamma1"]), 1, wrong, np.pi)
 
 
 def test_sigma_check_and_negative_control():
@@ -320,6 +321,32 @@ def test_catalogue_roundtrip_json(tmp_path):
     a = holonomy(conn, cat.contours["gamma1"], 1e-11)
     b = holonomy(conn, CAT.contours["gamma1"], 1e-11)
     assert np.linalg.norm(a - b) < 1e-12
+
+
+def test_catalogue_in_older_format_loads(tmp_path):
+    """Files written with the dropped "holes" and "orientation" keys load as without them.
+
+    The comparison is with the same file in the current format: a loaded line
+    segment has complex endpoints where the built-in one has real ones, which
+    moves the last bits of a transport.
+    """
+    import json
+
+    payload = builtin_catalogue().to_dict()
+    current = tmp_path / "current.json"
+    current.write_text(json.dumps(payload))
+    payload["holes"] = ["gamma1", "gamma2", "gamma3"]
+    for contour in payload["contours"]:
+        contour["orientation"] = "cw"
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(payload))
+    old_cat, cat = load_catalogue(str(older)), load_catalogue(str(current))
+    assert len(old_cat.contours) == 13
+    conn = xi_map(CTX2.random_compact(RNG, 0.3), CTX2.random_compact(RNG, 0.3), None)
+    for name, contour in cat.contours.items():
+        hol = holonomy(conn, contour)
+        assert np.array_equal(holonomy(conn, old_cat.contours[name]), hol)
+        assert np.linalg.norm(hol - holonomy(conn, CAT.contours[name])) < 1e-12
 
 
 def test_load_catalogue_schema_error(tmp_path):

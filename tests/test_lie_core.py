@@ -20,7 +20,6 @@ def test_structure_counts_su3():
     ctx = build_algebra(3)
     assert len(ctx.compact_basis) == 8
     assert len(ctx.positive_roots) == 3
-    assert len(ctx.simple_roots) == 2
 
 
 def test_fd_exponentials_cached_per_step():
@@ -130,13 +129,6 @@ def test_casimir_completeness():
             rebuilt = sum(pair(t, x).real * t for t in ctx.compact_basis)
             worst = max(worst, np.max(np.abs(rebuilt - x)))
         assert worst < 1e-12
-
-
-def test_dual_cartan():
-    ctx = build_algebra(3)
-    for i, h in enumerate(ctx.simple_cartan):
-        for j, hd in enumerate(ctx.dual_cartan):
-            assert abs(pair(h, hd) - (1.0 if i == j else 0.0)) < 1e-13
 
 
 def test_weyl_normalize_sorted():

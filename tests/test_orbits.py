@@ -143,7 +143,7 @@ def test_dual_direct_construction_via_projection():
     conn = xi_map(*sol.points, t=t)
     fig = figure_three()
     gs = [holonomy(conn, fig.arc_segments[e], 1e-11) for e in ("e1", "e2", "e3")]
-    ks = chi_map(CTX2, *gs, t=t)
+    ks = chi_map(CTX2, *gs)
     prod = ks[0].matrix @ ks[1].matrix @ ks[2].matrix
     assert np.linalg.norm(prod - np.eye(2)) <= 1e-8
     for k, p in zip(ks, sol.points):
