@@ -52,13 +52,14 @@ def _theta_twist(ctx, u, theta):
 
 @dataclass
 class KStarElement:
-    """Element of the twisted dual group: upper triangular, det 1."""
+    """Element of the twisted dual group, or a stack of them: upper triangular, det 1."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if np.max(np.abs(np.tril(m, -1))) > _TRI_TOL * max(1.0, np.max(np.abs(m))):
+        low = np.max(np.abs(np.tril(m, -1)), axis=(-2, -1))  # per matrix; fmax ignores NaN like max()
+        if np.any(low > _TRI_TOL * np.fmax(1.0, np.max(np.abs(m), axis=(-2, -1)))):
             raise InvalidSK("matrix has entries below the diagonal")
         self.matrix = m
 
@@ -215,9 +216,9 @@ def group_gradients(ctx, psi, g, fd_step=1e-5):
     Returns ``(grad_L, grad_R)`` with ``grad_L[a] = d/ds psi(exp(s t_a) g)``
     and ``grad_R[a] = d/ds psi(g exp(s t_a))``.
     """
-    eps, ems = ctx.fd_exponentials(fd_step)
-    gl = _central_differences(psi, [e @ g for e in eps], [e @ g for e in ems], fd_step)
-    gr = _central_differences(psi, [g @ e for e in eps], [g @ e for e in ems], fd_step)
+    steps = ctx.fd_exponentials(fd_step)
+    gl = _central_differences([[psi(e @ g) for e in half] for half in steps], fd_step)
+    gr = _central_differences([[psi(g @ e) for e in half] for half in steps], fd_step)
     return gl, gr
 
 

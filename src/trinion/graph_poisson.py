@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompositions import iwasawa_dual
+from .decompositions import BracketSpace, iwasawa_dual, sklyanin_eval
 from .errors import MissingIntersectionData, SchemaError
 from .holonomy import (ArcSegment, arc_crossings, holonomy, rebased_holonomies,
                        resolved_segments)
@@ -133,34 +133,42 @@ def reality_project(graph, conn):
     return out
 
 
-def _end_covector(ctx, psi, conn, edge, which, fd_step):
-    """Left gradient of psi in ``edge`` at a target end, minus the right one at a source end."""
-    base = conn[edge]
-    eps, ems = ctx.fd_exponentials(fd_step)
-
-    def tweak(m):
-        return GraphConnection(conn, **{edge: m})
-
-    if which == "tgt":
-        plus, minus = [tweak(e @ base) for e in eps], [tweak(e @ base) for e in ems]
-    else:
-        plus, minus = [tweak(base @ e) for e in ems], [tweak(base @ e) for e in eps]
-    return _central_differences(psi, plus, minus, fd_step)
-
-
 def fr_bracket(ctx, graph, psi1, psi2, conn, rmat, fd_step=1e-6):
-    """Vertex-ordered graph bracket of two functions at a graph connection."""
-    return _fr_bracket_pair(ctx, graph, lambda c: (psi1(c), psi2(c)), conn, rmat, fd_step)
+    """Vertex-ordered graph bracket of two functions of one connection, run row by row."""
+    def psi12(stack):
+        rows = [GraphConnection(zip(stack, row)) for row in zip(*stack.values())]
+        return [(psi1(c), psi2(c)) for c in rows]
+
+    return _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step)
+
+
+def _stacked_covectors(ctx, graph, psi12, conn, fd_step):
+    """End covectors ``(ends, 2, dim)`` of both components of ``psi12``, ends in cilium order.
+
+    Each end, step sign and real direction is one row of a stacked connection,
+    which ``psi12`` maps to ``(rows, 2)`` values in one call.  A target end
+    carries the left gradient, a source end minus the right one.
+    """
+    ends = [end for v_ends in graph.orders.values() for end in v_ends]
+    eps, ems = ctx.fd_exponentials(fd_step)
+    shape = (2, len(ends), len(eps))
+    stack = {e: np.broadcast_to(a, shape + a.shape).astype(complex) for e, a in conn.items()}
+    for i, (e, w) in enumerate(ends):
+        a = conn[e]
+        stack[e][:, i] = (eps @ a, ems @ a) if w == "tgt" else (a @ ems, a @ eps)
+    flat = GraphConnection({e: m.reshape((-1,) + m.shape[3:]) for e, m in stack.items()})
+    diffs = _central_differences(np.reshape(psi12(flat), shape + (2,)), fd_step)
+    return np.ascontiguousarray(diffs.transpose(0, 2, 1))  # C order keeps the contractions bit-stable
 
 
 def _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step):
-    """Graph bracket of the two components of ``psi12``, which is evaluated
-    once per perturbed connection for both."""
+    """Graph bracket of the two components of the stack function ``psi12``."""
     rp = rmat.tensor
+    covs = _stacked_covectors(ctx, graph, psi12, conn, fd_step)
     total = 0.0
-    for v, ends in graph.orders.items():
-        covs = np.array([_end_covector(ctx, psi12, conn, e, w, fd_step).T for e, w in ends])
-        xi, eta = covs[:, 0], covs[:, 1]
+    for ends in graph.orders.values():
+        xi, eta = covs[:len(ends), 0], covs[:len(ends), 1]
+        covs = covs[len(ends):]
         for i in range(len(ends)):
             total += 0.5 * (xi[i] @ rp @ eta[i] - eta[i] @ rp @ xi[i])
             for j in range(i + 1, len(ends)):
@@ -242,8 +250,9 @@ def chi_map(ctx, g1, g2, g3, u=None):
     pushes the accumulated unitary remainder into the next holonomy.  Left
     multiplication of ``g1`` by a unitary maps to the diagonal dressing
     action on the output, and ``g1 g2 g3 = e`` forces the product of the
-    outputs to be the identity.  Each factor is one ``iwasawa_dual``.  There
-    is no ``t`` here: it reaches the holonomies through the connection's scale.
+    outputs to be the identity.  Each factor is one ``iwasawa_dual`` over
+    leading axes, so stacked holonomies give stacked outputs.  There is no
+    ``t`` here: it reaches the holonomies through the connection's scale.
     """
     k1, r1 = iwasawa_dual(ctx, g1, u=u)
     k2, r2 = iwasawa_dual(ctx, r1 @ g2, u=u)
@@ -303,17 +312,15 @@ def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, u=None):
     """Compare the graph bracket of dual-group pullbacks with the direct bracket.
 
     ``f1``/``f2`` are scalar functions on a dual-group factor (slots 0..2);
-    their pullbacks through the projection are bracketed on the three-edge
-    graph at the connection ``gs`` and compared against the dual-group
-    bracket (zero across distinct slots).
+    their pullbacks through one stacked projection of all perturbed
+    connections are bracketed on the three-edge graph at ``gs`` and compared
+    against the dual-group bracket (zero across distinct slots).
     """
-    from .decompositions import BracketSpace, sklyanin_eval
-
     conn = GraphConnection({"e1": gs[0], "e2": gs[1], "e3": gs[2]})
 
     def pulled(a):
         ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], u)
-        return f1(ks[slot1].matrix), f2(ks[slot2].matrix)
+        return [(f1(m1), f2(m2)) for m1, m2 in zip(ks[slot1].matrix, ks[slot2].matrix)]
 
     fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, 1e-6)
     if slot1 == slot2:

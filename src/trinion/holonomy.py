@@ -50,6 +50,8 @@ __all__ = [
 
 POLES = (1.0, -1.0)
 POLE_MARGIN = 0.1
+_SIGMA_ODE_TOL = 1e-11  # transport tolerance of sigma_check
+_HOLE_SPECTRUM_TOL = 1e-7  # relative spectrum and hyperbolicity bound of hole_conjugacy_check
 
 
 # ---------------------------------------------------------------------------
@@ -470,28 +472,29 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
 # checks and observables
 # ---------------------------------------------------------------------------
 
-def sigma_check(conn, contour, tol=1e-10):
+def sigma_check(conn, contour):
     """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` for the reflected path."""
-    h = holonomy(conn, contour, tol)
-    href = holonomy(conn, contour.reflected(), tol)
+    h = holonomy(conn, contour, _SIGMA_ODE_TOL)
+    href = holonomy(conn, contour.reflected(), _SIGMA_ODE_TOL)
     return float(np.linalg.norm(href - np.linalg.inv(h.conj().T)))
 
 
-def hole_conjugacy_check(hol, j, H, t, tol=1e-7):
+def hole_conjugacy_check(hol, j, H, t):
     """Compare the spectrum of ``hol``, the j-th hole holonomy, with ``exp(2 i t H)``.
 
     Returns a report dict with the sorted eigenvalues, targets, and maximum
-    relative error; raises ``SpectralMismatch`` beyond ``tol``.  Also checks
-    hyperbolicity (positive real spectrum).
+    relative error; raises ``SpectralMismatch`` beyond ``_HOLE_SPECTRUM_TOL``.  Also
+    checks hyperbolicity (positive real spectrum).
     """
     ev = np.linalg.eigvals(hol)
     target = np.sort(np.exp(-2.0 * t * np.array(H.theta)))
     ev_sorted = np.sort(ev.real)
-    hyperbolic = bool(np.all(ev.real > 0) and np.max(np.abs(ev.imag)) < tol * np.max(np.abs(ev)))
+    hyperbolic = bool(np.all(ev.real > 0) and np.max(np.abs(ev.imag))
+                      < _HOLE_SPECTRUM_TOL * np.max(np.abs(ev)))
     rel = float(np.max(np.abs(ev_sorted - target) / target))
     report = {"hole": j, "eigenvalues": ev_sorted, "target": target,
               "max_rel_err": rel, "hyperbolic": hyperbolic}
-    if rel > tol or not hyperbolic:
+    if rel > _HOLE_SPECTRUM_TOL or not hyperbolic:
         raise SpectralMismatch(f"hole {j}: relative error {rel:.2e}, "
                                f"hyperbolic={hyperbolic}")
     return report

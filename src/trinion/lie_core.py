@@ -219,15 +219,15 @@ class AlgebraContext:
         return sum(np.trace(t @ m1) * np.trace(t @ m2) for t in self.compact_basis)
 
 
-def _central_differences(fn, plus, minus, h):
-    """``(fn(plus[a]) - fn(minus[a])) / 2h`` over a basis; non-finite values raise.
+def _central_differences(values, h):
+    """``(values[0] - values[1]) / 2h`` from the values at the plus and the minus steps.
 
-    ``fn`` returns a scalar or a fixed-length vector; for a vector, row ``a``
-    holds the differences of its components.
+    The shape after that leading axis of two (a basis, a stack of bases, a
+    vector's components) passes through; non-finite values raise.
     """
-    pairs = np.array([(fn(p), fn(m)) for p, m in zip(plus, minus)])
+    values = np.asarray(values)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values raise below
-        out = (pairs[:, 0] - pairs[:, 1]) / (2 * h)
+        out = (values[0] - values[1]) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("test function returned a non-finite value")
     return out

@@ -106,10 +106,9 @@ def kk_bracket(ctx, psi1, psi2, P, fd_step=1e-5):
     realized as su(n) elements; the pairing is the invariant form.
     """
     P = np.asarray(P)
-    plus = [P + fd_step * t for t in ctx.compact_basis]
-    minus = [P - fd_step * t for t in ctx.compact_basis]
-    g1 = _central_differences(psi1, plus, minus, fd_step)
-    g2 = _central_differences(psi2, plus, minus, fd_step)
+    steps = [[P + s * t for t in ctx.compact_basis] for s in (fd_step, -fd_step)]
+    g1 = _central_differences([[psi1(p) for p in half] for half in steps], fd_step)
+    g2 = _central_differences([[psi2(p) for p in half] for half in steps], fd_step)
     grad1 = np.einsum("a,aij->ij", g1, ctx.compact_basis)
     grad2 = np.einsum("a,aij->ij", g2, ctx.compact_basis)
     return float(pair(P, grad1 @ grad2 - grad2 @ grad1).real)

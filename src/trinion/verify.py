@@ -209,11 +209,11 @@ def suite_xi_geometry(seed=0, ns=(2, 3), count=20):
         for sol in sols:
             conn = xi_map(*sol.points)
             for name in sigma_names:
-                worst_sigma = max(worst_sigma, sigma_check(conn, cat.contours[name], 1e-11))
+                worst_sigma = max(worst_sigma, sigma_check(conn, cat.contours[name]))
             hols = [holonomy(conn, cat.contours[f"gamma{j}"], 1e-10) for j in (1, 2, 3)]
             for j, (hol, p) in enumerate(zip(hols, sol.points), start=1):
                 try:
-                    rep = hole_conjugacy_check(hol, j, p.H, np.pi, tol=1e-7)
+                    rep = hole_conjugacy_check(hol, j, p.H, np.pi)
                     worst_spec = max(worst_spec, rep["max_rel_err"])
                     hyper_ok = hyper_ok and rep["hyperbolic"]
                 except SpectralMismatch:

@@ -117,6 +117,21 @@ def test_f_inverse_rejects_non_positive():
         f_inverse(ctx, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_kstar_check_judges_each_matrix_of_a_stack_on_its_own_scale():
+    ctx = build_algebra(2)
+    small = np.array([[1.0, 0.5], [1e-9, 1.0]], dtype=complex)  # 1e-9 > 1e-12 * 1
+    large = np.array([[1e4, 1.0], [0.0, 1e-4]], dtype=complex)  # 1e-9 < 1e-12 * 1e4
+    kstar_from_matrix(ctx, np.array([np.eye(2), large]))
+    for m in (small, np.array([small, large]), np.array([[large, small]])):
+        with pytest.raises(InvalidSK):
+            kstar_from_matrix(ctx, m)
+    large[1, 0] = 1e-9  # below the large matrix's own scale: passes alone
+    kstar_from_matrix(ctx, large)
+    small[0, 0] = np.nan  # a NaN scale counts as 1, as it always has
+    with pytest.raises(InvalidSK):
+        kstar_from_matrix(ctx, small)
+
+
 def test_e_map_trivial_cases():
     ctx = build_algebra(2)
     assert np.max(np.abs(e_map(ctx, np.zeros((2, 2)), 0.8).matrix - np.eye(2))) < 1e-14

@@ -3,13 +3,15 @@ import pytest
 from scipy.linalg import expm
 
 from trinion.decompositions import f_map, group_gradients
-from trinion.errors import MissingIntersectionData, SchemaError
-from trinion.graph_poisson import (CiliatedGraph, GraphConnection, _end_covector, chi_map,
-                                   figure_three, fr_bracket, fr_vs_kstar,
+from trinion.errors import EvaluationError, MissingIntersectionData, SchemaError
+from trinion.graph_poisson import (CiliatedGraph, GraphConnection, _stacked_covectors,
+                                   chi_map, figure_three, fr_bracket, fr_vs_kstar,
                                    goldman_rhs, graph_gauge, reality_project)
 from trinion.holonomy import builtin_catalogue, holonomy, xi_map
 from trinion.lie_core import bar, build_algebra, r_matrix, weyl_normalize
 from trinion.orbits import diag_dressing, DressingOrbitPoint, solve_moment_zero
+
+from fr_reference import fr_vs_kstar as reference_fr_vs_kstar
 
 RNG = np.random.default_rng(29)
 CTX2 = build_algebra(2)
@@ -83,12 +85,29 @@ def test_end_covectors_are_group_gradients(ctx):
     conn = GraphConnection({e: random_sl(ctx, rng=rng) for e in ("e1", "e2", "e3")})
     grad_l, grad_r = group_gradients(ctx, f, conn["e1"], fd_step=1e-6)
 
-    def psi(a):
-        return f(a["e1"])
+    def psi12(stack):
+        return [(f(m), 0.0) for m in stack["e1"]]
 
-    assert np.array_equal(_end_covector(ctx, psi, conn, "e1", "tgt", 1e-6), grad_l)
-    assert np.array_equal(_end_covector(ctx, psi, conn, "e1", "src", 1e-6), -grad_r)
-    assert not np.any(_end_covector(ctx, psi, conn, "e2", "tgt", 1e-6))
+    ends = [end for v_ends in FIG.bracket_graph.orders.values() for end in v_ends]
+    covs = _stacked_covectors(ctx, FIG.bracket_graph, psi12, conn, 1e-6)[:, 0]
+    assert np.array_equal(covs[ends.index(("e1", "tgt"))], grad_l)
+    assert np.array_equal(covs[ends.index(("e1", "src"))], -grad_r)
+    assert not np.any(covs[ends.index(("e2", "tgt"))])
+
+
+def test_fr_bracket_nonfinite_row_raises():
+    """One NaN among the perturbed connections is an evaluation error."""
+    conn = GraphConnection({e: random_sl(CTX2) for e in ("e1", "e2", "e3")})
+    rm = r_matrix(CTX2, 1.0)
+    calls = []
+
+    def psi(a):
+        calls.append(None)
+        return float("nan") if len(calls) == 40 else float(np.real(a["e1"][0, 1]))
+
+    with pytest.raises(EvaluationError):
+        fr_bracket(CTX2, FIG.bracket_graph, psi, lambda a: 0.0, conn, rm)
+    assert len(calls) == 72
 
 
 def test_fr_vertex_disjoint_functions_commute():
@@ -274,3 +293,50 @@ def test_fr_vs_kstar_with_twist_and_scale():
     gs = [random_sl(ctx, rng=rng) for _ in range(3)]
     rep = fr_vs_kstar(ctx, FIG, 1, entry(rng, 3), 1, entry(rng, 3), gs, rm, u=u)
     assert rep["rel_err"] < 1e-5
+
+
+def test_fr_vs_kstar_nonfinite_row_raises():
+    gs = [random_sl(CTX2) for _ in range(3)]
+    rm = r_matrix(CTX2, 1.0)
+    calls = []
+
+    def f1(m):
+        calls.append(None)
+        return float("nan") if len(calls) == 7 else float(np.real(m[0, 1]))
+
+    with pytest.raises(EvaluationError):
+        fr_vs_kstar(CTX2, FIG, 0, f1, 0, lambda m: float(np.imag(m[0, 0])), gs, rm)
+    assert len(calls) == 72
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation against the per-perturbation reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_chi_map_is_bit_equal_to_single_calls(n):
+    ctx = build_algebra(n)
+    rng = np.random.default_rng(40 + n)
+    gs = np.array([[random_sl(ctx, rng=rng) for _ in range(3)] for _ in range(50)])
+    stacked = chi_map(ctx, gs[:, 0], gs[:, 1], gs[:, 2])
+    singles = [chi_map(ctx, *g) for g in gs]
+    for slot in range(3):
+        assert np.array_equal(stacked[slot].matrix,
+                              np.array([ks[slot].matrix for ks in singles]))
+
+
+@pytest.mark.parametrize("ctx, u, t", [
+    (CTX2, None, 1.0),
+    (CTX3, None, 1.0),
+    (CTX3, np.array([[0.0, 0.31], [-0.31, 0.0]]), 0.75),
+])
+def test_fr_vs_kstar_bit_equal_to_per_perturbation_reference(ctx, u, t):
+    rng = np.random.default_rng(11)
+    rm = r_matrix(ctx, t, u)
+    gs = [random_sl(ctx, rng=rng) for _ in range(3)]
+    for s1, s2 in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]:
+        f1, f2 = entry(rng, ctx.n), entry(rng, ctx.n)
+        got = fr_vs_kstar(ctx, FIG, s1, f1, s2, f2, gs, rm, u=u)
+        want = reference_fr_vs_kstar(ctx, FIG, s1, f1, s2, f2, gs, rm, u=u)
+        for key in ("fr_value", "plb_value", "rel_err"):
+            assert float.hex(got[key]) == float.hex(want[key]), (s1, s2, key)

@@ -239,7 +239,7 @@ def test_sigma_check_and_negative_control():
     sol, _ = su2_triple(seed=3)
     conn = xi_map(*sol.points, t=np.pi)
     for name in ("gamma1", "gamma2", "gamma3", "eight_narrow", "circle_both"):
-        assert sigma_check(conn, CAT.contours[name], 1e-11) <= 1e-9
+        assert sigma_check(conn, CAT.contours[name]) <= 1e-9
     broken = RationalConnection(X1=np.diag([0.3, -0.3]).astype(complex),
                                 X2=sol.points[1].X, scale=1.0)
     assert sigma_check(broken, CAT.contours["gamma1"]) > 1e-3
