@@ -216,7 +216,7 @@ def cmd_bracket(cfg, kind, args):
     fd = cfg["tolerances"]["fd"]
 
     def entry_fn(i, j, part):
-        return lambda m: float(getattr(m[i, j], part))
+        return lambda m: getattr(m[..., i, j], part)
 
     if kind == "goldman":
         cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()

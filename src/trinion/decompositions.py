@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSK
-from .lie_core import _central_differences, bar
+from .lie_core import _central_differences, _point_value, _r_contract, bar
 
 __all__ = [
     "KStarElement",
@@ -214,12 +214,17 @@ def group_gradients(ctx, psi, g, fd_step=1e-5):
     """Left/right derivative components of psi at g over the real basis.
 
     Returns ``(grad_L, grad_R)`` with ``grad_L[a] = d/ds psi(exp(s t_a) g)``
-    and ``grad_R[a] = d/ds psi(g exp(s t_a))``.
+    and ``grad_R[a] = d/ds psi(g exp(s t_a))``, each of shape ``lead + (2N,)``
+    for a point ``g`` with leading axes ``lead``.  ``psi`` is called once, on
+    the step points ``lead + (2, 2, 2N, n, n)`` (left then right, plus then
+    minus), and must return values over those axes.
     """
-    steps = ctx.fd_exponentials(fd_step)
-    gl = _central_differences([[psi(e @ g) for e in half] for half in steps], fd_step)
-    gr = _central_differences([[psi(g @ e) for e in half] for half in steps], fd_step)
-    return gl, gr
+    lead = np.ndim(g) - 2
+    g = np.asarray(g)[..., None, None, :, :]
+    steps = np.stack(ctx.fd_exponentials(fd_step))
+    values = psi(np.stack([steps @ g, g @ steps], axis=-5))
+    grads = _central_differences(values, lead + 1, fd_step)
+    return grads[..., 0, :], grads[..., 1, :]
 
 
 def sklyanin_eval(ctx, space, psi1, psi2, point, rmat, fd_step=1e-5):
@@ -228,7 +233,9 @@ def sklyanin_eval(ctx, space, psi1, psi2, point, rmat, fd_step=1e-5):
     Wiring by space: the compact group and the dual group both use
     ``<r+, L x L> - <r+, R x R>``; the Heisenberg double uses
     ``<r+, L x L> + <r-, R x R>``.  Contractions are over the real basis
-    components of the left/right derivatives.
+    components of the left/right derivatives.  A point with leading axes
+    gives the values over them (a float at a single point), so a bracket
+    is itself a test function.
     """
     g = point.matrix if isinstance(point, KStarElement) else np.asarray(point)
     gl1, gr1 = group_gradients(ctx, psi1, g, fd_step)
@@ -236,7 +243,7 @@ def sklyanin_eval(ctx, space, psi1, psi2, point, rmat, fd_step=1e-5):
     rp = rmat.tensor
     rm = rmat.minus_tensor
     if space in (BracketSpace.CompactGroup, BracketSpace.DualGroup):
-        return float(gl1 @ rp @ gl2 - gr1 @ rp @ gr2)
+        return _point_value(_r_contract(gl1, rp, gl2) - _r_contract(gr1, rp, gr2))
     if space is BracketSpace.HeisenbergDouble:
-        return float(gl1 @ rp @ gl2 + gr1 @ rm @ gr2)
+        return _point_value(_r_contract(gl1, rp, gl2) + _r_contract(gr1, rm, gr2))
     raise ValueError(f"unknown bracket space {space!r}")

@@ -32,7 +32,7 @@ from .decompositions import BracketSpace, iwasawa_dual, sklyanin_eval
 from .errors import MissingIntersectionData, SchemaError
 from .holonomy import (ArcSegment, arc_crossings, holonomy, rebased_holonomies,
                        resolved_segments)
-from .lie_core import _central_differences, bar
+from .lie_core import _central_differences, _point_value, _r_contract, bar
 
 __all__ = [
     "CiliatedGraph",
@@ -134,46 +134,56 @@ def reality_project(graph, conn):
 
 
 def fr_bracket(ctx, graph, psi1, psi2, conn, rmat, fd_step=1e-6):
-    """Vertex-ordered graph bracket of two functions of one connection, run row by row."""
-    def psi12(stack):
-        rows = [GraphConnection(zip(stack, row)) for row in zip(*stack.values())]
-        return [(psi1(c), psi2(c)) for c in rows]
+    """Vertex-ordered graph bracket of two functions of a connection.
 
-    return _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step)
+    Each function maps a connection whose edge values carry leading axes to
+    values over those axes, and is called once.  ``conn`` may carry leading
+    axes too: the value is a float for a single connection and an array
+    over ``lead`` otherwise, so a bracket is itself a test function.
+    """
+    return _fr_bracket_pair(ctx, graph, lambda c: (psi1(c), psi2(c)), conn, rmat, fd_step)
 
 
 def _stacked_covectors(ctx, graph, psi12, conn, fd_step):
-    """End covectors ``(ends, 2, dim)`` of both components of ``psi12``, ends in cilium order.
+    """End covectors ``(xi, eta)``, each ``lead + (ends, dim)``, ends in cilium order.
 
-    Each end, step sign and real direction is one row of a stacked connection,
-    which ``psi12`` maps to ``(rows, 2)`` values in one call.  A target end
-    carries the left gradient, a source end minus the right one.
+    Each step sign, end and real direction is one row of a stacked connection
+    ``lead + (2, ends, dim)``, which ``psi12`` maps to the values of both
+    functions over those axes in one call.  A target end carries the left
+    gradient, a source end minus the right one.
     """
     ends = [end for v_ends in graph.orders.values() for end in v_ends]
     eps, ems = ctx.fd_exponentials(fd_step)
-    shape = (2, len(ends), len(eps))
-    stack = {e: np.broadcast_to(a, shape + a.shape).astype(complex) for e, a in conn.items()}
+    conn = {e: np.asarray(a) for e, a in conn.items()}
+    lead = np.broadcast_shapes(*(a.shape[:-2] for a in conn.values()))
+    rows = lead + (2, len(ends), len(eps))
+    stack = {e: np.broadcast_to(a[..., None, None, None, :, :], rows + a.shape[-2:])
+             .astype(complex) for e, a in conn.items()}
     for i, (e, w) in enumerate(ends):
-        a = conn[e]
-        stack[e][:, i] = (eps @ a, ems @ a) if w == "tgt" else (a @ ems, a @ eps)
-    flat = GraphConnection({e: m.reshape((-1,) + m.shape[3:]) for e, m in stack.items()})
-    diffs = _central_differences(np.reshape(psi12(flat), shape + (2,)), fd_step)
-    return np.ascontiguousarray(diffs.transpose(0, 2, 1))  # C order keeps the contractions bit-stable
+        a = conn[e][..., None, :, :]
+        plus, minus = (eps @ a, ems @ a) if w == "tgt" else (a @ ems, a @ eps)
+        stack[e][..., 0, i, :, :, :] = plus
+        stack[e][..., 1, i, :, :, :] = minus
+    v1, v2 = psi12(GraphConnection(stack))
+    return (_central_differences(v1, len(lead), fd_step),
+            _central_differences(v2, len(lead), fd_step))
 
 
 def _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step):
     """Graph bracket of the two components of the stack function ``psi12``."""
     rp = rmat.tensor
-    covs = _stacked_covectors(ctx, graph, psi12, conn, fd_step)
+    xi, eta = _stacked_covectors(ctx, graph, psi12, conn, fd_step)
     total = 0.0
+    first = 0
     for ends in graph.orders.values():
-        xi, eta = covs[:len(ends), 0], covs[:len(ends), 1]
-        covs = covs[len(ends):]
-        for i in range(len(ends)):
-            total += 0.5 * (xi[i] @ rp @ eta[i] - eta[i] @ rp @ xi[i])
-            for j in range(i + 1, len(ends)):
-                total += xi[i] @ rp @ eta[j] - eta[i] @ rp @ xi[j]
-    return float(total)
+        last = first + len(ends)
+        for i in range(first, last):
+            x, y = xi[..., i, :], eta[..., i, :]
+            total += 0.5 * (_r_contract(x, rp, y) - _r_contract(y, rp, x))
+            for j in range(i + 1, last):
+                total += _r_contract(x, rp, eta[..., j, :]) - _r_contract(y, rp, xi[..., j, :])
+        first = last
+    return _point_value(total)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +321,18 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
 def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, u=None):
     """Compare the graph bracket of dual-group pullbacks with the direct bracket.
 
-    ``f1``/``f2`` are scalar functions on a dual-group factor (slots 0..2);
-    their pullbacks through one stacked projection of all perturbed
-    connections are bracketed on the three-edge graph at ``gs`` and compared
-    against the dual-group bracket (zero across distinct slots).
+    ``f1``/``f2`` are test functions on a dual-group factor (slots 0..2):
+    they map matrices with leading axes to values over those axes.  Each is
+    called once on the factors of one stacked projection of all perturbed
+    connections; the pullbacks are bracketed on the three-edge graph at
+    ``gs`` and compared against the dual-group bracket (zero across distinct
+    slots).
     """
     conn = GraphConnection({"e1": gs[0], "e2": gs[1], "e3": gs[2]})
 
     def pulled(a):
         ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], u)
-        return [(f1(m1), f2(m2)) for m1, m2 in zip(ks[slot1].matrix, ks[slot2].matrix)]
+        return f1(ks[slot1].matrix), f2(ks[slot2].matrix)
 
     fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, 1e-6)
     if slot1 == slot2:

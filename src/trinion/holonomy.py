@@ -133,11 +133,20 @@ class ArcSegment:
                 "radius": self.radius, "a0": self.a0, "a1": self.a1}
 
 
+def _point_from_pair(xy):
+    """A saved ``[re, im]`` point, real when ``im`` is 0 as in the built-in segments.
+
+    A complex point there would round ``z``/``dz``, and so a transport, differently.
+    """
+    re, im = xy
+    return float(re) if im == 0 else complex(re, im)
+
+
 def _segment_from_dict(d):
     if d["type"] == "line":
-        seg = LineSegment(complex(*d["start"]), complex(*d["end"]))
+        seg = LineSegment(_point_from_pair(d["start"]), _point_from_pair(d["end"]))
     elif d["type"] == "arc":
-        seg = ArcSegment(complex(*d["center"]), float(d["radius"]),
+        seg = ArcSegment(_point_from_pair(d["center"]), float(d["radius"]),
                          float(d["a0"]), float(d["a1"]))
     else:
         raise SchemaError(f"unknown segment type {d.get('type')!r}")

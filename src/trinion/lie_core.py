@@ -42,14 +42,14 @@ def bar(x):
     """Anti-involution singling out the compact form: conjugate transpose.
 
     On the algebra ``bar([X, Y]) = -[bar X, bar Y]``; on the group it is the
-    inverse for unitary elements.
+    inverse for unitary elements.  Works over leading axes.
     """
-    return np.asarray(x).conj().T
+    return np.swapaxes(np.asarray(x).conj(), -1, -2)
 
 
 def pair(x, y):
-    """Invariant bilinear form ``-Tr(XY)``, positive definite on su(n)."""
-    return -np.trace(np.asarray(x) @ np.asarray(y))
+    """Invariant bilinear form ``-Tr(XY)``, positive definite on su(n); over leading axes."""
+    return -np.trace(np.asarray(x) @ np.asarray(y), axis1=-2, axis2=-1)
 
 
 def _sum_zero_frame(n):
@@ -219,18 +219,33 @@ class AlgebraContext:
         return sum(np.trace(t @ m1) * np.trace(t @ m2) for t in self.compact_basis)
 
 
-def _central_differences(values, h):
-    """``(values[0] - values[1]) / 2h`` from the values at the plus and the minus steps.
+def _central_differences(values, axis, h):
+    """``(plus - minus) / 2h`` from the values at the plus and the minus steps.
 
-    The shape after that leading axis of two (a basis, a stack of bases, a
-    vector's components) passes through; non-finite values raise.
+    ``values`` holds them at index 0 and 1 of ``axis``, which the quotient
+    drops; every other axis (a point's leading axes, a basis, a stack of
+    bases) passes through in order.  Non-finite values raise.
     """
     values = np.asarray(values)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values raise below
-        out = (values[0] - values[1]) / (2 * h)
+        out = (values.take(0, axis) - values.take(1, axis)) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("test function returned a non-finite value")
     return out
+
+
+def _r_contract(x, r, y):
+    """``x @ r @ y`` for covectors ``x``, ``y`` with leading axes, bit for bit per pair.
+
+    Each pair takes the row-by-matrix and the dot product that ``x @ r @ y``
+    takes for single covectors; ``np.sum((x @ r) * y, -1)`` would not.
+    """
+    return (x[..., None, :] @ r @ y[..., :, None])[..., 0, 0]
+
+
+def _point_value(v):
+    """A bracket's value: a float at a single point, the array over a stack's leading axes."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def build_algebra(n):

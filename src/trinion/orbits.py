@@ -17,7 +17,7 @@ import numpy as np
 from .decompositions import (KStarElement, _iwasawa_dual, dressing_action, e_map, f_map,
                              kstar_from_matrix)
 from .errors import IllConditioned, NonRegular
-from .lie_core import CartanVector, _central_differences, pair
+from .lie_core import CartanVector, _central_differences, _point_value, pair
 
 __all__ = [
     "OrbitPoint",
@@ -103,15 +103,20 @@ def kk_bracket(ctx, psi1, psi2, P, fd_step=1e-5):
     """Linear (orbit) bracket ``<P, [grad psi1, grad psi2]>`` at P in su(n).
 
     Gradients are central differences over the orthonormal compact basis,
-    realized as su(n) elements; the pairing is the invariant form.
+    realized as su(n) elements; the pairing is the invariant form.  Each
+    test function is called once, on the step points ``lead + (2, N, n, n)``
+    of a ``P`` with leading axes ``lead``; the value is an array over
+    ``lead`` (a float at a single point), so a bracket is a test function.
     """
     P = np.asarray(P)
-    steps = [[P + s * t for t in ctx.compact_basis] for s in (fd_step, -fd_step)]
-    g1 = _central_differences([[psi1(p) for p in half] for half in steps], fd_step)
-    g2 = _central_differences([[psi2(p) for p in half] for half in steps], fd_step)
-    grad1 = np.einsum("a,aij->ij", g1, ctx.compact_basis)
-    grad2 = np.einsum("a,aij->ij", g2, ctx.compact_basis)
-    return float(pair(P, grad1 @ grad2 - grad2 @ grad1).real)
+    lead = P.ndim - 2
+    steps = np.array([fd_step, -fd_step])[:, None, None, None] * ctx.compact_basis
+    points = P[..., None, None, :, :] + steps
+    g1 = _central_differences(psi1(points), lead, fd_step)
+    g2 = _central_differences(psi2(points), lead, fd_step)
+    grad1 = np.einsum("...a,aij->...ij", g1, ctx.compact_basis)
+    grad2 = np.einsum("...a,aij->...ij", g2, ctx.compact_basis)
+    return _point_value(pair(P, grad1 @ grad2 - grad2 @ grad1).real)
 
 
 def diag_coadjoint(k, points):

@@ -41,6 +41,14 @@ def test_n2_only_suites_name_records_n2():
     assert records and all(r.name.endswith(".n2") for r in records)
 
 
+def test_bracket_axioms_run_at_n3(tmp_path):
+    out = tmp_path / "axioms.json"
+    assert run(["--n", "3", "--out", str(out), "verify", "--suite", "bracket_axioms"]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 10
+    assert all(c["name"].endswith(".n3") and c["status"] == "pass" for c in checks)
+
+
 def test_runs_without_scipy():
     code = ("import sys; sys.modules['scipy'] = None\n"
             "import trinion, trinion.verify, trinion.cli\n"
@@ -152,6 +160,17 @@ def test_holonomy_command(tmp_path):
     payload = json.loads(out.read_text())
     h = np.array([[complex(a, b) for a, b in row] for row in payload["holonomy"]])
     assert abs(np.linalg.det(h) - 1.0) < 1e-9
+
+
+def test_saved_catalogue_holonomy_same_bytes(tmp_path, capsys):
+    from trinion.holonomy import builtin_catalogue
+
+    cat = tmp_path / "saved.json"
+    cat.write_text(json.dumps(builtin_catalogue().to_dict()))
+    assert run(["holonomy", "gamma1"]) == 0
+    builtin = capsys.readouterr().out
+    assert run(["holonomy", "gamma1", "--catalogue", str(cat)]) == 0
+    assert capsys.readouterr().out == builtin
 
 
 def test_holonomy_unknown_contour_exit_2(capsys):

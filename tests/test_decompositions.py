@@ -224,7 +224,7 @@ def test_lu_weinstein_moment_property():
         om_right = np.array([omega(b, "right") for b in ctx.real_basis])
         om_left = np.array([omega(b, "left") for b in ctx.real_basis])
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        psi = lambda m: float(np.real(np.trace(c @ m)))
+        psi = lambda m: np.real(np.trace(c @ m, axis1=-2, axis2=-1))
         v_x = (psi(expm(h * x) @ g) - psi(expm(-h * x) @ g)) / (2 * h)
         gl, gr = group_gradients(ctx, psi, g, h)
         # bracket of the moment 1-form against d psi, double wiring
@@ -241,8 +241,8 @@ def test_sklyanin_constant_and_antisymmetry():
     ctx = build_algebra(2)
     rm = r_matrix(ctx, 1.0)
     g = random_sl(ctx)
-    const = lambda m: 1.0
-    f = lambda m: float(np.real(m[0, 1]))
+    const = lambda m: np.ones(m.shape[:-2])
+    f = lambda m: np.real(m[..., 0, 1])
     for space in BracketSpace:
         assert abs(sklyanin_eval(ctx, space, const, f, g, rm)) < 1e-10
         v = sklyanin_eval(ctx, space, f, f, g, rm)
@@ -255,8 +255,8 @@ def test_sklyanin_dual_matches_dense_contraction():
     rm = r_matrix(ctx, 0.8)
     rng = np.random.default_rng(3)
     ks = e_map(ctx, ctx.random_compact(rng, 0.5), 0.8).matrix
-    f1 = lambda m: float(np.real(m[0, 0]))
-    f2 = lambda m: float(np.real(m[0, 1]))
+    f1 = lambda m: np.real(m[..., 0, 0])
+    f2 = lambda m: np.real(m[..., 0, 1])
     got = sklyanin_eval(ctx, BracketSpace.DualGroup, f1, f2, ks, rm)
 
     h = 1e-6
@@ -273,10 +273,45 @@ def test_sklyanin_dual_matches_dense_contraction():
     assert abs(got - total) < 1e-7
 
 
+def _entry(rng, n):
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return lambda m, c=c: np.real(np.trace(c @ m, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_group_gradients_stack_bit_equal_to_single_points(n):
+    ctx = build_algebra(n)
+    rng = np.random.default_rng(20 + n)
+    psi = _entry(rng, n)
+    gs = np.array([random_sl(ctx, rng=rng) for _ in range(4)])
+    gl, gr = group_gradients(ctx, psi, gs)
+    singles = [group_gradients(ctx, psi, g) for g in gs]
+    assert np.array_equal(gl, np.array([s[0] for s in singles]))
+    assert np.array_equal(gr, np.array([s[1] for s in singles]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("space", list(BracketSpace))
+def test_sklyanin_stack_bit_equal_to_single_points(n, space):
+    """A stack of points gives the single-point values, also with a bracket as test function."""
+    ctx = build_algebra(n)
+    rng = np.random.default_rng(30 + n)
+    rm = r_matrix(ctx, 0.9)
+    f1, f2, f3 = (_entry(rng, n) for _ in range(3))
+    gs = np.array([[random_sl(ctx, 0.5, rng) for _ in range(2)] for _ in range(2)])
+    inner = lambda m: sklyanin_eval(ctx, space, f2, f3, m, rm)
+    for psi1, psi2, fd in ((f1, f2, 1e-5), (f1, inner, 1e-4)):
+        got = sklyanin_eval(ctx, space, psi1, psi2, gs, rm, fd_step=fd)
+        want = [[sklyanin_eval(ctx, space, psi1, psi2, g, rm, fd_step=fd) for g in row]
+                for row in gs]
+        assert got.shape == (2, 2) and np.array_equal(got, np.array(want))
+        assert all(type(v) is float for row in want for v in row)
+
+
 def test_sklyanin_nonfinite_raises():
     ctx = build_algebra(2)
     rm = r_matrix(ctx, 1.0)
-    bad = lambda m: float("nan")
-    ok = lambda m: float(np.real(m[0, 0]))
+    bad = lambda m: np.full(m.shape[:-2], np.nan)
+    ok = lambda m: np.real(m[..., 0, 0])
     with pytest.raises(EvaluationError):
         sklyanin_eval(ctx, BracketSpace.DualGroup, bad, ok, np.eye(2), rm)

@@ -26,9 +26,14 @@ def random_sl(ctx, scale=0.4, rng=RNG):
     return expm(x)
 
 
+def tr(m):
+    """Traces over the leading axes of a matrix stack."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 def entry(rng, n):
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return lambda m, c=c: float(np.real(np.trace(c @ m)))
+    return lambda m, c=c: np.real(tr(c @ m))
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +91,30 @@ def test_end_covectors_are_group_gradients(ctx):
     grad_l, grad_r = group_gradients(ctx, f, conn["e1"], fd_step=1e-6)
 
     def psi12(stack):
-        return [(f(m), 0.0) for m in stack["e1"]]
+        return f(stack["e1"]), np.zeros(stack["e1"].shape[:-2])
 
     ends = [end for v_ends in FIG.bracket_graph.orders.values() for end in v_ends]
-    covs = _stacked_covectors(ctx, FIG.bracket_graph, psi12, conn, 1e-6)[:, 0]
+    covs = _stacked_covectors(ctx, FIG.bracket_graph, psi12, conn, 1e-6)[0]
     assert np.array_equal(covs[ends.index(("e1", "tgt"))], grad_l)
     assert np.array_equal(covs[ends.index(("e1", "src"))], -grad_r)
     assert not np.any(covs[ends.index(("e2", "tgt"))])
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_fr_bracket_stack_bit_equal_to_single_connections(ctx):
+    """Stacked edges give the single-connection values, also with a bracket as test function."""
+    rng = np.random.default_rng(32)
+    rm = r_matrix(ctx, 1.0)
+    fs = [lambda a, f=entry(rng, ctx.n), e=e: f(a[e]) for e in ("e1", "e3", "e2")]
+    stack = GraphConnection({e: np.array([random_sl(ctx, rng=rng) for _ in range(2)])
+                             for e in ("e1", "e2", "e3")})
+    rows = [GraphConnection({e: m[k] for e, m in stack.items()}) for k in range(2)]
+    inner = lambda a: fr_bracket(ctx, FIG.bracket_graph, fs[1], fs[2], a, rm)
+    for psi1, psi2, fd in ((fs[0], fs[1], 1e-6), (fs[0], inner, 1e-4)):
+        got = fr_bracket(ctx, FIG.bracket_graph, psi1, psi2, stack, rm, fd_step=fd)
+        want = [fr_bracket(ctx, FIG.bracket_graph, psi1, psi2, c, rm, fd_step=fd) for c in rows]
+        assert got.shape == (2,) and np.array_equal(got, np.array(want))
+        assert all(type(v) is float for v in want)
 
 
 def test_fr_bracket_nonfinite_row_raises():
@@ -102,12 +124,15 @@ def test_fr_bracket_nonfinite_row_raises():
     calls = []
 
     def psi(a):
-        calls.append(None)
-        return float("nan") if len(calls) == 40 else float(np.real(a["e1"][0, 1]))
+        calls.append(a["e1"].shape[:-2])
+        values = np.real(a["e1"][..., 0, 1]).copy()
+        values.flat[39] = np.nan
+        return values
 
     with pytest.raises(EvaluationError):
-        fr_bracket(CTX2, FIG.bracket_graph, psi, lambda a: 0.0, conn, rm)
-    assert len(calls) == 72
+        fr_bracket(CTX2, FIG.bracket_graph, psi, lambda a: np.zeros(a["e1"].shape[:-2]),
+                   conn, rm)
+    assert calls == [(2, 6, 6)]  # one call on all 72 perturbed connections
 
 
 def test_fr_vertex_disjoint_functions_commute():
@@ -119,15 +144,15 @@ def test_fr_vertex_disjoint_functions_commute():
     ).validate()
     conn = GraphConnection({"e1": random_sl(CTX2), "e2": random_sl(CTX2)})
     rm = r_matrix(CTX2, 1.0)
-    f1 = lambda a: float(np.real(a["e1"][0, 1]))
-    f2 = lambda a: float(np.imag(a["e2"][0, 0]))
+    f1 = lambda a: np.real(a["e1"][..., 0, 1])
+    f2 = lambda a: np.imag(a["e2"][..., 0, 0])
     assert abs(fr_bracket(CTX2, graph, f1, f2, conn, rm)) < 1e-12
 
 
 def test_fr_self_bracket_vanishes():
     conn = GraphConnection({e: random_sl(CTX2) for e in ("e1", "e2", "e3")})
     rm = r_matrix(CTX2, 1.0)
-    f = lambda a: float(np.real(np.trace(a["e1"] @ a["e2"])))
+    f = lambda a: np.real(tr(a["e1"] @ a["e2"]))
     assert abs(fr_bracket(CTX2, FIG.bracket_graph, f, f, conn, rm)) < 1e-9
 
 
@@ -144,8 +169,8 @@ def test_fr_gauge_descent():
     def hole2(a):
         return a["e2"] @ np.linalg.inv(a["e2_bar"])
 
-    psi1 = lambda a: float(np.real(np.trace(hole1(a) @ hole2(a))))
-    psi2 = lambda a: float(np.real(np.trace(hole1(a) @ np.linalg.inv(hole2(a)))))
+    psi1 = lambda a: np.real(tr(hole1(a) @ hole2(a)))
+    psi2 = lambda a: np.real(tr(hole1(a) @ np.linalg.inv(hole2(a))))
     base = fr_bracket(ctx, FIG.reality_graph, psi1, psi2, conn, rm)
     worst = 0.0
     for _ in range(20):
@@ -192,9 +217,9 @@ def test_reality_bracket_real_on_invariants_and_extension_independent():
         def h2(a):
             return a["e2"] @ np.linalg.inv(a["e2_bar"])
 
-        f_mixed = lambda a: float(np.real(np.trace(h1_mixed(a) @ h2(a))))
-        f_plain = lambda a: float(np.real(np.trace(h1_plain(a) @ h2(a))))
-        psi = lambda a: float(np.real(np.trace(h1_mixed(a) @ np.linalg.inv(h2(a)))))
+        f_mixed = lambda a: np.real(tr(h1_mixed(a) @ h2(a)))
+        f_plain = lambda a: np.real(tr(h1_plain(a) @ h2(a)))
+        psi = lambda a: np.real(tr(h1_mixed(a) @ np.linalg.inv(h2(a))))
         v_mixed = fr_bracket(ctx, FIG.reality_graph, f_mixed, psi, conn, rm)
         v_plain = fr_bracket(ctx, FIG.reality_graph, f_plain, psi, conn, rm)
         assert abs(v_mixed - v_plain) <= 1e-8 * max(1.0, abs(v_mixed))
@@ -301,12 +326,14 @@ def test_fr_vs_kstar_nonfinite_row_raises():
     calls = []
 
     def f1(m):
-        calls.append(None)
-        return float("nan") if len(calls) == 7 else float(np.real(m[0, 1]))
+        calls.append(m.shape[:-2])
+        values = np.real(m[..., 0, 1]).copy()
+        values.flat[6] = np.nan
+        return values
 
     with pytest.raises(EvaluationError):
-        fr_vs_kstar(CTX2, FIG, 0, f1, 0, lambda m: float(np.imag(m[0, 0])), gs, rm)
-    assert len(calls) == 72
+        fr_vs_kstar(CTX2, FIG, 0, f1, 0, lambda m: np.imag(m[..., 0, 0]), gs, rm)
+    assert calls == [(2, 6, 6)]  # one call on the factors of all 72 perturbed connections
 
 
 # ---------------------------------------------------------------------------

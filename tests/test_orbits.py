@@ -41,16 +41,16 @@ def test_kk_linear_functions_exact():
     y1 = CTX2.random_compact(RNG)
     y2 = CTX2.random_compact(RNG)
     p = CTX2.random_compact(RNG)
-    f1 = lambda x: float(pair(x, y1).real)
-    f2 = lambda x: float(pair(x, y2).real)
+    f1 = lambda x: pair(x, y1).real
+    f2 = lambda x: pair(x, y2).real
     want = pair(p, y1 @ y2 - y2 @ y1).real
     assert abs(kk_bracket(CTX2, f1, f2, p) - want) < 1e-9
 
 
 def test_kk_casimir_central():
     p = CTX2.random_compact(RNG)
-    cas = lambda x: float(pair(x, x).real)
-    f = lambda x: float(np.real(x[0, 1]))
+    cas = lambda x: pair(x, x).real
+    f = lambda x: np.real(x[..., 0, 1])
     assert abs(kk_bracket(CTX2, cas, f, p)) < 1e-9
 
 
@@ -59,8 +59,8 @@ def test_kk_quadratic_closed_form():
     y1 = CTX3.random_compact(RNG)
     y2 = CTX3.random_compact(RNG)
     p = CTX3.random_compact(RNG)
-    f1 = lambda x: float(pair(x, y1).real ** 2)
-    f2 = lambda x: float(pair(x, y2).real ** 2)
+    f1 = lambda x: pair(x, y1).real ** 2
+    f2 = lambda x: pair(x, y2).real ** 2
     g1 = 2 * pair(p, y1).real * y1
     g2 = 2 * pair(p, y2).real * y2
     want = pair(p, g1 @ g2 - g2 @ g1).real
@@ -68,9 +68,29 @@ def test_kk_quadratic_closed_form():
     assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
+def _entry(rng, n):
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return lambda x, c=c: np.imag(np.trace(c @ x, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_kk_bracket_stack_bit_equal_to_single_points(ctx):
+    """A stack of points gives the single-point values, also with a bracket as test function."""
+    rng = np.random.default_rng(12)
+    f1, f2, f3 = (_entry(rng, ctx.n) for _ in range(3))
+    ps = np.array([[ctx.random_compact(rng, 0.6) for _ in range(3)] for _ in range(2)])
+    inner = lambda y: kk_bracket(ctx, f2, f3, y)
+    for psi1, psi2, fd in ((f1, f2, 1e-5), (f1, inner, 1e-4)):
+        got = kk_bracket(ctx, psi1, psi2, ps, fd_step=fd)
+        want = [[kk_bracket(ctx, psi1, psi2, p, fd_step=fd) for p in row] for row in ps]
+        assert got.shape == (2, 3) and np.array_equal(got, np.array(want))
+        assert all(type(v) is float for row in want for v in row)
+
+
 def test_kk_nonfinite():
     with pytest.raises(EvaluationError):
-        kk_bracket(CTX2, lambda x: float("inf"), lambda x: 0.0, CTX2.random_compact(RNG))
+        kk_bracket(CTX2, lambda x: np.full(x.shape[:-2], np.inf),
+                   lambda x: np.zeros(x.shape[:-2]), CTX2.random_compact(RNG))
 
 
 # ---------------------------------------------------------------------------
