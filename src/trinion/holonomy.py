@@ -10,8 +10,10 @@ Since ``A`` is a scalar combination of ``X1`` and ``X2``, every ``Omega`` is a
 combination of ten fixed brackets of the residues, and the exponentials of a
 whole stack of panels and connections are evaluated together.  Panels are
 refined by step doubling until the error per unit parameter length is at most
-``tol``.  ``Omega`` is traceless, so holonomies have unit determinant up to
-rounding, and constant gauge transformations conjugate them.
+``tol``; one refinement loop serves every segment of every path of a call,
+so a round's panels from all of them share one exponential stack.
+``Omega`` is traceless, so holonomies have unit determinant up to rounding,
+and constant gauge transformations conjugate them.
 
 Orientation conventions, fixed by the spectral targets: the catalogue hole
 loops around +1 and -1 run clockwise and the outer loop counterclockwise,
@@ -22,6 +24,7 @@ and makes the catalogue-order word ``gamma1 gamma2 gamma3`` contractible.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -287,8 +290,9 @@ _MAGNUS_W = np.array([[0.0, 1.0, 0.0],
 # a step-doubling estimate at or below this is rounding noise: the panel is resolved
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 _MIN_PANEL = 1e-12
-# matrices per exponential stack; bounds the memory of one evaluation
-_CHUNK = 768
+# matrices per exponential stack, and panels per round (each panel evaluation
+# also holds about 0.7 KB of Magnus coefficients): they bound the memory of a round
+_CHUNK, _MAX_PANELS = 768, 64
 
 
 def _bracket_basis(x1s, x2s):
@@ -316,11 +320,14 @@ def _omega_coefficients(p, q):
                      d * f1 / 240.0, d * f2 / 240.0], axis=1)
 
 
-def _magnus_propagators(seg, s0, h, basis, scale):
-    """Magnus propagators of the panels ``[s0_i, s0_i + h_i]``, shape ``(P, B, n, n)``."""
+def _magnus_propagators(segs, g, s0, h, basis, scale):
+    """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of ``segs[g_i]``, ``(P, B, n, n)``."""
     s = s0[:, None] + h[:, None] * _GL_NODES
-    w = (-scale) * seg.dz(s) * h[:, None]
-    z = seg.z(s)
+    z, dz = np.empty(s.shape, complex), np.empty(s.shape, complex)
+    for k in set(g.tolist()):  # not np.unique, which imports numpy.ma
+        on = g == k
+        z[on], dz[on] = segs[k].z(s[on]), segs[k].dz(s[on])
+    w = (-scale) * dz * h[:, None]
     coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
     omega = (coef @ basis.reshape(len(basis), -1)).reshape((len(s0),) + basis.shape[1:])
     if not np.isfinite(omega).all():
@@ -328,7 +335,7 @@ def _magnus_propagators(seg, s0, h, basis, scale):
     return _expm(omega)
 
 
-def _step_doubling(seg, s0, h, basis, scale):
+def _step_doubling(segs, g, s0, h, basis, scale):
     """Propagators of the panels as the product of their halves, and their errors.
 
     The error of a panel is the largest entry of the difference between the
@@ -337,65 +344,13 @@ def _step_doubling(seg, s0, h, basis, scale):
     """
     m = len(s0)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _magnus_propagators(seg, np.concatenate([s0, s0, s0 + h / 2]),
+        e = _magnus_propagators(segs, np.tile(g, 3), np.concatenate([s0, s0, s0 + h / 2]),
                                 np.concatenate([h, h / 2, h / 2]), basis, scale)
         half = e[2 * m:] @ e[m:2 * m]
         size = np.maximum(np.abs(half).max(axis=(1, 2, 3)), np.abs(e[:m]).max(axis=(1, 2, 3)))
         err = np.abs(half - e[:m]).max(axis=(1, 2, 3)) / np.maximum(1.0, size)
     # a panel too coarse for its exponential to be finite is as unresolved as can be
     return half, np.where(np.isfinite(err), err, 2.0)
-
-
-def _transport_segment(seg, psi, basis, scale, tol):
-    """Advance the transports ``psi`` over one segment by adaptive Magnus panels.
-
-    Each panel is compared with its two halves (step doubling) and the halves
-    are kept.  Panels are shared by the whole batch, so the error is the
-    maximum over the stack.  A panel whose error exceeds ``tol * h`` is split
-    into ``ceil((err / (tol h))^(1/6))`` pieces, since the local error of the
-    sixth-order step scales as ``h^7``.  Resolved panels are folded into
-    ``psi`` in path order as soon as every panel before them is resolved, so
-    only a few chunks of propagators are held at a time.  Overflow of ``psi``
-    ends the transport, which bounds the work any input can cause.
-    """
-    per_call = max(1, _CHUNK // (3 * basis.shape[1]))
-    todo = [[0.0, 1.0, None]]      # [start, width, propagator]; todo[-1] is next on the path
-    while todo:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while todo and todo[-1][2] is not None:
-                psi = todo.pop()[2] @ psi
-        if not np.isfinite(psi).all():
-            raise ToleranceNotMet("holonomy overflows")
-        cut, pending = len(todo), []
-        while cut and len(pending) < per_call:
-            cut -= 1
-            if todo[cut][2] is None:
-                pending.append(todo[cut])
-        if not pending:
-            break
-        s0, h = np.array([t[:2] for t in pending]).T
-        props, err = _step_doubling(seg, s0, h, basis, scale)
-        target = np.maximum(tol * h, _ROUNDOFF)
-        pieces = {}
-        for t, p, e, goal in zip(pending, props, err, target):
-            if e <= goal:
-                t[2] = p
-                continue
-            k = max(2, int(np.ceil((e / goal) ** (1.0 / 6.0))))
-            w = t[1] / k
-            if w < _MIN_PANEL:
-                raise ToleranceNotMet("adaptive panel width underflow")
-            pieces[id(t)] = [[t[0] + j * w, w, None] for j in reversed(range(k))]
-        todo[cut:] = [u for t in todo[cut:] for u in pieces.get(id(t), (t,))]
-    return psi
-
-
-def _check_path(segs):
-    for seg in segs:
-        d = seg.pole_distance()
-        if d < 0.9 * POLE_MARGIN:
-            raise PoleTooClose(f"segment from {seg.z(0.0):.4f} passes {d:.4f} "
-                               f"from a pole (margin {POLE_MARGIN})")
 
 
 def holonomy(conn, contour, tol=1e-10):
@@ -409,11 +364,59 @@ def holonomy(conn, contour, tol=1e-10):
     return holonomy_batch(conn.X1[None], conn.X2[None], conn.scale, contour, tol)[0]
 
 
-def _transport(segs, basis, scale, tol):
-    """Transport of the stack behind ``basis`` along the segments, ``(B, n, n)``."""
-    psi = np.broadcast_to(np.eye(basis.shape[-1], dtype=complex), basis.shape[1:])
+def _transport(paths, basis, scale, tol):
+    """Transports of the stack behind ``basis`` along each path, ``(len(paths), B, n, n)``.
+
+    One adaptive loop serves every segment of every path (a segment list).
+    Its panel table holds each unresolved panel as a (segment, start, width)
+    row in path order; each round compares the next panels with their two
+    halves (step doubling) in one batch and keeps the halves.  Panels are
+    shared by the stack, so the error is the maximum over it.  A panel whose
+    error exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))``
+    parts, since the local error of the sixth-order step scales as ``h^7``.
+    Each round folds every path's resolved prefix into its transport, one
+    panel after another in path order, so few propagators are held at a
+    time.  Overflow ends the transport, which bounds the work any input can
+    cause.
+    """
+    segs = [seg for path in paths for seg in path]
     for seg in segs:
-        psi = _transport_segment(seg, psi, basis, scale, tol)
+        if (d := seg.pole_distance()) < 0.9 * POLE_MARGIN:
+            raise PoleTooClose(f"segment from {seg.z(0.0):.4f} passes {d:.4f} "
+                               f"from a pole (margin {POLE_MARGIN})")
+    per_call = max(1, min(_MAX_PANELS, _CHUNK // (3 * basis.shape[1])))
+    owner = [i for i, path in enumerate(paths) for _ in path]
+    psi = np.tile(np.eye(basis.shape[-1], dtype=complex), (len(paths), basis.shape[1], 1, 1))
+    g, s0, h = np.arange(len(segs)), np.zeros(len(segs)), np.ones(len(segs))
+    held = []  # resolved panels (segment, start, propagator) not yet folded
+    while len(g):
+        k = min(per_call, len(g))
+        props, err = _step_doubling(segs, g[:k], s0[:k], h[:k], basis, scale)
+        goal = np.maximum(tol * h[:k], _ROUNDOFF)
+        ok = err <= goal
+        held += zip(g[:k][ok].tolist(), s0[:k][ok].tolist(), props[ok])
+        # a rejected panel is replaced by its parts, a resolved one leaves the table
+        parts = np.where(ok, 0, np.maximum(2, np.ceil((err / goal) ** (1.0 / 6.0))).astype(int))
+        w = h[:k] / np.maximum(parts, 1)
+        if (w[~ok] < _MIN_PANEL).any():
+            raise ToleranceNotMet("adaptive panel width underflow")
+        j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+        g, s0, h = (np.concatenate([np.repeat(g[:k], parts), g[k:]]),
+                    np.concatenate([np.repeat(s0[:k], parts) + j * np.repeat(w, parts), s0[k:]]),
+                    np.concatenate([np.repeat(w, parts), h[k:]]))
+        # a resolved panel is folded once no unresolved panel precedes it on its path
+        front = {owner[q]: (q, start) for q, start in zip(g[::-1].tolist(), s0[::-1].tolist())}
+        held.sort(key=itemgetter(0, 1))
+        waiting = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, start, prop in held:
+                if (q, start) < front.get(owner[q], (np.inf,)):
+                    psi[owner[q]] = prop @ psi[owner[q]]
+                else:
+                    waiting.append((q, start, prop))
+        held = waiting
+        if not np.isfinite(psi).all():
+            raise ToleranceNotMet("holonomy overflows")
     return psi
 
 
@@ -422,12 +425,12 @@ def holonomy_batch(x1s, x2s, scale, contour, tol=1e-10):
 
     ``x1s`` and ``x2s`` are ``(B, n, n)`` residue stacks.  The panels are
     shared by the stack (refined until every connection meets ``tol``), so
-    the transports of nearby connections see one discretisation.
+    the transports of nearby connections see one discretisation.  All the
+    segments of the contour are refined in one adaptive loop.
     """
     segs = contour.segments if isinstance(contour, Contour) else list(contour)
-    _check_path(segs)
     basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
-    return _transport(segs, basis, scale, tol)
+    return _transport([segs], basis, scale, tol)[0]
 
 
 def _slice_segment(seg, sa, sb):
@@ -462,10 +465,9 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
     piece is transported once; the loop re-based at a cut is the product of
     the pieces from that cut around to it again.
     """
-    _check_path(segments)
     basis = _bracket_basis(np.asarray(conn.X1, dtype=complex)[None],
                            np.asarray(conn.X2, dtype=complex)[None])
-    hols = [_transport(piece, basis, conn.scale, tol)[0] for piece in _cut(segments, cuts)]
+    hols = list(_transport(_cut(segments, cuts), basis, conn.scale, tol)[:, 0])
     marks = sorted(cuts)
     out = []
     for c in cuts:
@@ -483,8 +485,10 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
 
 def sigma_check(conn, contour):
     """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` for the reflected path."""
-    h = holonomy(conn, contour, _SIGMA_ODE_TOL)
-    href = holonomy(conn, contour.reflected(), _SIGMA_ODE_TOL)
+    basis = _bracket_basis(np.asarray(conn.X1, dtype=complex)[None],
+                           np.asarray(conn.X2, dtype=complex)[None])
+    h, href = _transport([contour.segments, contour.reflected().segments], basis,
+                         conn.scale, _SIGMA_ODE_TOL)[:, 0]
     return float(np.linalg.norm(href - np.linalg.inv(h.conj().T)))
 
 

@@ -80,33 +80,68 @@ _PADE = [
 ]
 
 
+def _stack_product(x, y, tmp):
+    """Products over stacks held as ``(n, n, M)``; ``tmp`` is scratch of the product's shape."""
+    out = x[:, 0, None] * y[0]
+    for k in range(1, len(x)):
+        out += np.multiply(x[:, k, None], y[k], out=tmp)
+    return out
+
+
+def _stack_solve(a):
+    """``P^-1 Q`` in place for ``a = [P | Q]``, ``(n, 2n, M)``, by Gaussian elimination with
+    LAPACK's pivots: per matrix, the first entry of largest ``|re| + |im|`` in the column."""
+    n = len(a)
+    for j in range(n):
+        piv = np.argmax(np.abs(a[j:, j].real) + np.abs(a[j:, j].imag), axis=0)
+        for i in range(1, n - j):
+            swap = piv == i
+            if swap.any():
+                a[j, :, swap], a[j + i, :, swap] = a[j + i, :, swap], a[j, :, swap]
+        a[j + 1:, j + 1:] -= (a[j + 1:, j] / a[j, j])[:, None] * a[j, j + 1:]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            a[i, n:] -= a[i, k] * a[k, n:]
+        a[i, n:] /= a[i, i]
+    return a[:, n:]
+
+
 def _expm(a):
     """Matrix exponential of every matrix of a stack ``(..., n, n)``.
 
     Uses the Pade approximant of lowest degree whose bound covers the largest
     1-norm in the stack, and scaling and squaring beyond the degree-13 bound
-    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).  The stack is held as
+    ``(n, n, M)``, so every product and elimination step is a few array
+    operations over all ``M`` matrices.
     """
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    shape, n = np.shape(a), np.shape(a)[-1]
+    x = np.ascontiguousarray(np.reshape(a, (-1, n, n)).transpose(1, 2, 0))
+    norm = np.abs(x).sum(axis=0).max(axis=0)
     top = norm.max(initial=0.0)
     theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
     s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
     if s.any():
-        a = a * (0.5 ** s)[..., None, None]
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    even, odd = b[0] * ident + b[2] * a2, b[1] * ident + b[3] * a2
-    power = a2
+        x = x * 0.5 ** s
+    # few stack-sized arrays alive at once: less heap to return and fault in again
+    tmp, ident = np.empty_like(x), np.eye(n)[:, :, None]
+    x2 = _stack_product(x, x, tmp)
+    even, odd = b[0] * ident + b[2] * x2, b[1] * ident + b[3] * x2
+    power = x2
     for j in range(4, len(b), 2):
-        power = power @ a2
-        even = even + b[j] * power
-        odd = odd + b[j + 1] * power
-    u = a @ odd
-    r = np.linalg.solve(even - u, even + u)
+        power = _stack_product(power, x2, tmp)
+        even += np.multiply(power, b[j], out=tmp)
+        odd += np.multiply(power, b[j + 1], out=tmp)
+    del x2, power
+    u = _stack_product(x, odd, tmp)
+    aug = np.concatenate([np.subtract(even, u, out=tmp), np.add(even, u, out=even)], axis=1)
+    del tmp, even, odd, u
+    r = _stack_solve(aug)
     for k in range(int(s.max(initial=0))):
         sq = s > k
-        r[sq] = r[sq] @ r[sq]
-    return r
+        rs = r[..., sq]
+        r[..., sq] = _stack_product(rs, rs, np.empty_like(rs))
+    return np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(shape)
 
 
 class AlgebraContext:

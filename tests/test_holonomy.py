@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -134,8 +136,8 @@ def test_integrator_order():
     def uniform(m):
         psi = np.eye(3, dtype=complex)
         for seg in eight.segments:
-            for e in _magnus_propagators(seg, np.arange(m) / m, np.full(m, 1.0 / m),
-                                         basis, conn.scale):
+            for e in _magnus_propagators([seg], np.zeros(m, int), np.arange(m) / m,
+                                         np.full(m, 1.0 / m), basis, conn.scale):
                 psi = e[0] @ psi
         return psi
 
@@ -184,9 +186,38 @@ def test_batch_matches_single_and_rebased_pieces():
             assert np.linalg.norm(reb - holonomy(conn, rotated, 1e-11)) < 1e-9
 
 
-def test_pole_too_close():
+def test_rebased_pieces_match_separate_transports():
+    """One adaptive loop over every piece gives each piece's own transport.
+
+    At every crossing of every bracketed pair, the re-based loop equals the
+    product of the ``_cut`` pieces transported one at a time.
+    """
+    for ctx in (CTX2, CTX3):
+        conn = RationalConnection(X1=ctx.random_compact(RNG, 0.3),
+                                  X2=ctx.random_compact(RNG, 0.3), scale=1.0)
+        for a, b in CAT.pair_names[:-1]:
+            data = [d for d in CAT.contours[a].intersections if d.other == b]
+            for name, cuts in ((a, [d.seg_param for d in data]),
+                               (b, [d.other_seg_param for d in data])):
+                segs = CAT.contours[name].segments
+                pieces, marks = _cut(segs, cuts), sorted(cuts)
+                alone = [holonomy(conn, piece, 1e-11) for piece in pieces]
+                for cut, reb in zip(cuts, rebased_holonomies(conn, segs, cuts, 1e-11)):
+                    j = marks.index(cut) + 1
+                    want = alone[j]
+                    for m in alone[j + 1:] + alone[:j]:
+                        want = m @ want
+                    assert np.linalg.norm(reb - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_pole_too_close(monkeypatch):
     x = CTX2.random_compact(RNG)
     conn = RationalConnection(X1=x, X2=np.zeros((2, 2)), scale=1.0)
+
+    def no_panels(*args):
+        raise AssertionError("a panel was evaluated before the pole check")
+
+    monkeypatch.setattr(importlib.import_module("trinion.holonomy"), "_step_doubling", no_panels)
     with pytest.raises(PoleTooClose):
         holonomy(conn, [LineSegment(1.05, 2.0)])
     # starts 0.98 from the poles but passes 0.02 from +1 halfway along
@@ -195,6 +226,14 @@ def test_pole_too_close():
     with pytest.raises(PoleTooClose):
         holonomy_batch(x[None], np.zeros((1, 2, 2)), 1.0,
                        [ArcSegment(0.0, 0.98, np.pi / 2, -np.pi / 2)])
+    # only the last segment of the path is too close
+    close = [LineSegment(0.0, 0.5), LineSegment(0.5, 0.95)]
+    with pytest.raises(PoleTooClose):
+        holonomy(conn, close)
+    with pytest.raises(PoleTooClose):
+        rebased_holonomies(conn, close, [(0, 0.5)])
+    with pytest.raises(PoleTooClose):
+        sigma_check(conn, Contour(name="close", word=(), segments=close))
 
 
 def test_unreachable_tolerance_raises():
@@ -207,6 +246,16 @@ def test_unreachable_tolerance_raises():
                               X2=CTX2.random_compact(rng, 1e6), scale=1.0)
     with pytest.raises(ToleranceNotMet):
         holonomy(huge, CAT.contours["eight_narrow"])
+    # the first segment of gamma1 is transported by a unitary; the turn
+    # around +1 then grows by exp(400 pi) and overflows
+    steep = RationalConnection(X1=np.diag([200j, -200j]), X2=np.zeros((2, 2)), scale=1.0)
+    with pytest.raises(ToleranceNotMet, match="^holonomy overflows$"):
+        holonomy(steep, CAT.contours["gamma1"])
+    # 1e13 turns around +1: no panel wider than 1e-12 resolves the second segment
+    conn = RationalConnection(X1=CTX2.random_compact(rng, 0.3),
+                              X2=CTX2.random_compact(rng, 0.3), scale=1.0)
+    with pytest.raises(ToleranceNotMet, match="^adaptive panel width underflow$"):
+        holonomy(conn, [LineSegment(0.0, 0.5), ArcSegment(1.0, 0.5, np.pi, np.pi - 2e13 * np.pi)])
 
 
 # ---------------------------------------------------------------------------

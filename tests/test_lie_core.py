@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from trinion.errors import BoundaryOrbit, InvalidRank, InvalidSpectrum, InvalidTwist
-from trinion.lie_core import (_expm, bar, build_algebra, cybe_residual, pair, r_matrix,
+from trinion.lie_core import (_PADE, _expm, bar, build_algebra, cybe_residual, pair, r_matrix,
                               weyl_normalize)
 
 RNG = np.random.default_rng(42)
@@ -38,7 +38,7 @@ def test_fd_exponentials_cached_per_step():
 def test_expm_matches_scipy():
     # one norm inside each Pade band, then norms that need scaling and squaring
     norms = (0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 35.0, 50.0)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
         mats = z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
         stacked = _expm(mats)
@@ -46,6 +46,41 @@ def test_expm_matches_scipy():
             ref = expm(m)
             for got in (_expm(m[None])[0], e):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # a stack with leading axes, (P, B, n, n), as the transport passes it
+    z = RNG.normal(size=(3, 4, 3, 3)) + 1j * RNG.normal(size=(3, 4, 3, 3))
+    norms = RNG.uniform(0.05, 8.0, (3, 4))
+    mats = z * (norms / np.abs(z).sum(axis=-2).max(axis=-1))[..., None, None]
+    stacked = _expm(mats)
+    assert stacked.shape == mats.shape
+    for idx in np.ndindex(3, 4):
+        ref = expm(mats[idx])
+        assert np.linalg.norm(stacked[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_expm_exchanges_rows_of_the_pade_denominator():
+    """Stacks whose degree-13 Pade denominators have vanishing leading pivots.
+
+    For ``pi J``, ``J`` the rotation generator, the denominator's even part
+    vanishes to rounding, so its leading entry is about 1e-16 of the entry
+    below it.  ``c``, a root of that entry found by bisection, does the same
+    for a rotation in the (0, 2) plane coupled to the middle row; there,
+    elimination without the exchange with the last row loses every digit.
+    Each stack mixes matrices that need an exchange with matrices that need
+    none.
+    """
+    b = _PADE[-1][1]
+    c = 3.1626644752930404
+    rot = np.pi * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    coupled = np.array([[0.0, 0.4, c], [0.3, 0.5, 0.2], [-c, 0.1, 0.0]])
+    for m, row in ((rot, 1), (coupled, 2)):
+        den = sum(b[k] * np.linalg.matrix_power(-m, k) for k in range(len(b)))
+        assert abs(den[0, 0]) < 1e-14 * abs(den[row, 0])
+    z = RNG.normal(size=(2, 3, 3)) + 1j * RNG.normal(size=(2, 3, 3))
+    for stack in (np.array([rot, -rot, 1j * rot, 0.5 * rot]),
+                  np.array([coupled, coupled.T, *(3.0 * z / np.abs(z).sum(axis=-2).max())])):
+        for m, got in zip(stack, _expm(stack)):
+            ref = expm(m)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_invalid_rank():
