@@ -16,9 +16,9 @@ pinned to one thread:
   [0.003, 0.15]: the 1st to 99th percentile of the panel exponents that the
   ``goldman`` workload's transport evaluates.  The figure is the best of
   five repeats, divided by the stack size.
-* ``goldman_per_pass``: work counters of the transport over passes of the
-  benchmark's ``goldman`` workload (``perfbench/workloads.py`` of this
-  checkout): ``_step_doubling`` calls, matrices exponentiated by the
+* ``goldman_per_pass``: work counters of the transport over passes 0-2 of
+  the benchmark's ``goldman`` workload at seed 9100
+  (``perfbench/workloads.py`` of this checkout): ``_step_doubling`` calls, matrices exponentiated by the
   transport, and panels accepted (step-doubling error within the tolerance
   of the enclosing transport call).  The counters are exact and repeat from
   run to run; they are read by wrapping the private functions, which both
@@ -41,8 +41,10 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_transport.json"
 SIZES = (1, 21, 99, 768)
 NS = (2, 3, 4)
+SEED, PASSES = 9100, 3
 
 
 def expm_timings(lie_core):
@@ -118,9 +120,6 @@ def main():
     ap.add_argument("--label", required=True, help="column name in the output file")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the trinion package")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_transport.json"))
-    ap.add_argument("--seed", type=int, default=9100)
-    ap.add_argument("--passes", type=int, default=3)
     args = ap.parse_args()
 
     src = Path(args.src).resolve()
@@ -134,16 +133,15 @@ def main():
     column = {
         "src_loc": loc,
         "expm_us_per_matrix": expm_timings(lie_core),
-        "goldman_per_pass": goldman_counts(holonomy, args.seed, args.passes),
+        "goldman_per_pass": goldman_counts(holonomy, SEED, PASSES),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),
                         "blas_threads": 1},
     }
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data.setdefault("description", __doc__.split("\n\n")[0])
     data.setdefault("columns", {})[args.label] = column
-    out.write_text(json.dumps(data, indent=2) + "\n")
+    OUT.write_text(json.dumps(data, indent=2) + "\n")
     print(json.dumps({args.label: column}, indent=2))
 
 

@@ -172,42 +172,31 @@ def test_batch_matches_single_and_rebased_pieces():
     single = holonomy(conn, c, 1e-11)
     batch = holonomy_batch(x1[None], x2[None], 1.0, c, 1e-11)
     assert np.linalg.norm(batch[0] - single) < 1e-10
-    # the product of the pieces equals transporting the rotated piece list;
-    # gamma1 is cut on a line segment, eight_narrow at its double_wind crossings
+    # each re-based loop equals transporting the rotated piece list as one path,
+    # and the product of the ``_cut`` pieces transported one at a time; gamma1
+    # is cut on a line segment, each bracketed pair at its crossings
     eight = CAT.contours["eight_narrow"]
     crossings = [d.seg_param for d in eight.intersections if d.other == "double_wind"]
     assert len(crossings) == 6
-    for segs, cuts in ((eight.segments, crossings),
-                       (CAT.contours["gamma1"].segments, [(0, 0.4)])):
-        pieces, marks = _cut(segs, cuts), sorted(cuts)
-        for cut, reb in zip(cuts, rebased_holonomies(conn, segs, cuts, 1e-11)):
-            j = marks.index(cut) + 1
-            rotated = [s for piece in pieces[j:] + pieces[:j] for s in piece]
-            assert np.linalg.norm(reb - holonomy(conn, rotated, 1e-11)) < 1e-9
-
-
-def test_rebased_pieces_match_separate_transports():
-    """One adaptive loop over every piece gives each piece's own transport.
-
-    At every crossing of every bracketed pair, the re-based loop equals the
-    product of the ``_cut`` pieces transported one at a time.
-    """
-    for ctx in (CTX2, CTX3):
-        conn = RationalConnection(X1=ctx.random_compact(RNG, 0.3),
-                                  X2=ctx.random_compact(RNG, 0.3), scale=1.0)
-        for a, b in CAT.pair_names[:-1]:
-            data = [d for d in CAT.contours[a].intersections if d.other == b]
-            for name, cuts in ((a, [d.seg_param for d in data]),
-                               (b, [d.other_seg_param for d in data])):
-                segs = CAT.contours[name].segments
-                pieces, marks = _cut(segs, cuts), sorted(cuts)
-                alone = [holonomy(conn, piece, 1e-11) for piece in pieces]
-                for cut, reb in zip(cuts, rebased_holonomies(conn, segs, cuts, 1e-11)):
-                    j = marks.index(cut) + 1
-                    want = alone[j]
-                    for m in alone[j + 1:] + alone[:j]:
-                        want = m @ want
-                    assert np.linalg.norm(reb - want) <= 1e-12 * np.linalg.norm(want)
+    cut_sets = [(CAT.contours["gamma1"].segments, [(0, 0.4)])]
+    for a, b in CAT.pair_names[:-1]:
+        data = [d for d in CAT.contours[a].intersections if d.other == b]
+        cut_sets += [(CAT.contours[a].segments, [d.seg_param for d in data]),
+                     (CAT.contours[b].segments, [d.other_seg_param for d in data])]
+    conn3 = RationalConnection(X1=CTX3.random_compact(RNG, 0.3),
+                               X2=CTX3.random_compact(RNG, 0.3), scale=1.0)
+    for cn in (conn, conn3):
+        for segs, cuts in cut_sets:
+            pieces, marks = _cut(segs, cuts), sorted(cuts)
+            alone = [holonomy(cn, piece, 1e-11) for piece in pieces]
+            for cut, reb in zip(cuts, rebased_holonomies(cn, segs, cuts, 1e-11)):
+                j = marks.index(cut) + 1
+                rotated = [s for piece in pieces[j:] + pieces[:j] for s in piece]
+                assert np.linalg.norm(reb - holonomy(cn, rotated, 1e-11)) < 1e-9
+                want = alone[j]
+                for m in alone[j + 1:] + alone[:j]:
+                    want = m @ want
+                assert np.linalg.norm(reb - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_pole_too_close(monkeypatch):
