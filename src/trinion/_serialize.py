@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SchemaError
+
+
+def is_number(val, kinds=(int, float)):
+    """A finite JSON number of the given types; ``true`` and ``false`` are not numbers."""
+    return (isinstance(val, kinds) and not isinstance(val, bool)
+            and (isinstance(val, int) or math.isfinite(val)))
 
 
 def matrix_to_json(m):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 import time
@@ -61,14 +60,9 @@ def load_config(path):
     return cfg
 
 
-def _is_number(val):
-    return isinstance(val, int) and not isinstance(val, bool) or (
-        isinstance(val, float) and math.isfinite(val))
-
-
 def _is_rows(val):
     return isinstance(val, list) and all(
-        isinstance(row, list) and all(_is_number(x) for x in row) for row in val)
+        isinstance(row, list) and all(_serialize.is_number(x) for x in row) for row in val)
 
 
 def validate_config(cfg):
@@ -79,9 +73,9 @@ def validate_config(cfg):
     n = cfg["n"]
     if not isinstance(n, int) or n < 2:
         raise SchemaError("n must be an integer >= 2")
-    if not _is_number(cfg["t"]):
+    if not _serialize.is_number(cfg["t"]):
         raise SchemaError("t must be a finite number")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+    if not _serialize.is_number(cfg["seed"], int) or cfg["seed"] < 0:
         raise SchemaError("seed must be a nonnegative integer")
     if cfg["suite"] not in (None, "all", *SUITES):
         raise SchemaError(f"unknown suite {cfg['suite']!r}; choose from {sorted(SUITES)}")
@@ -90,7 +84,7 @@ def validate_config(cfg):
     if not isinstance(cfg["profile"], str) or cfg["profile"] not in PROFILES:
         raise SchemaError(f"profile must be one of {', '.join(sorted(PROFILES))}")
     for key, val in cfg["tolerances"].items():
-        if not _is_number(val):
+        if not _serialize.is_number(val):
             raise SchemaError(f"tolerance {key} must be a finite number")
         if not val > 0:
             raise SchemaError(f"tolerance {key} must be positive")

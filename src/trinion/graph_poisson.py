@@ -30,7 +30,7 @@ import numpy as np
 
 from .decompositions import BracketSpace, iwasawa_dual, sklyanin_eval
 from .errors import MissingIntersectionData, SchemaError
-from .holonomy import (ArcSegment, arc_crossings, holonomy, rebased_holonomies,
+from .holonomy import (ArcSegment, _holonomies, arc_crossings, rebased_holonomies,
                        resolved_segments)
 from .lie_core import _central_differences, _point_value, _r_contract, bar
 
@@ -281,8 +281,8 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     Casimir contraction ``-W sum_p sign(p) sum_a Tr(t_a M_p) Tr(t_a N_p)``
     and the trace-resolution form ``W sum_p sign(p) (phi_resolved -
     phi_a phi_b / n)``; ``W = 2 pi i`` is the crossing weight.  With
-    ``geometric`` the resolved trace is integrated along the spliced
-    contour, otherwise it is the product of the re-based holonomies.
+    ``geometric`` the resolved traces come from one transport of all the
+    spliced contours, otherwise from products of the re-based holonomies.
     Raises ``MissingIntersectionData`` when the contours cross but carry no
     data.  The re-based holonomies are products of the pieces between the
     crossings, each transported once.
@@ -300,15 +300,14 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     ms = rebased_holonomies(conn, contour_a.segments, [d.seg_param for d in data], ode_tol)
     ns = rebased_holonomies(conn, contour_b.segments, [d.other_seg_param for d in data],
                             ode_tol)
-    cas = 0j
-    tr = 0j
-    points = []
-    for d, m, nmat in zip(data, ms, ns):
-        if geometric:
-            res_tr = np.trace(holonomy(conn, resolved_segments(contour_a, d, contour_b),
-                                       ode_tol))
-        else:
-            res_tr = np.trace(m @ nmat)
+    if geometric:
+        resolved = _holonomies(conn, [resolved_segments(contour_a, d, contour_b) for d in data],
+                               ode_tol)
+    else:
+        resolved = [m @ nmat for m, nmat in zip(ms, ns)]
+    cas, tr, points = 0j, 0j, []
+    for d, m, nmat, res in zip(data, ms, ns, resolved):
+        res_tr = np.trace(res)
         c = ctx.casimir_contract(m, nmat)
         g = res_tr - np.trace(m) * np.trace(nmat) / ctx.n
         cas += -CROSSING_WEIGHT * d.sign * c

@@ -28,6 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._serialize import is_number
 from .errors import (ConstraintViolated, GeometryError, PoleTooClose,
                      SchemaError, SpectralMismatch, ToleranceNotMet)
 from .lie_core import _expm
@@ -80,14 +81,10 @@ class LineSegment:
 
     def pole_distance(self):
         d = self.end - self.start
-        out = []
-        for p in POLES:
-            if abs(d) < 1e-14:
-                out.append(abs(self.start - p))
-                continue
-            s = np.clip(((p - self.start) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-            out.append(abs(self.z(s) - p))
-        return min(out)
+        if abs(d) < 1e-14:
+            return min(abs(self.start - p) for p in POLES)
+        ss = [np.clip(((p - self.start) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0) for p in POLES]
+        return min(abs(self.z(s) - p) for s, p in zip(ss, POLES))
 
     def to_dict(self):
         return {"type": "line", "start": [self.start.real, self.start.imag],
@@ -125,10 +122,7 @@ class ArcSegment:
             hits = any(lo - 1e-12 <= ang + 2 * np.pi * k <= hi + 1e-12
                        for k in range(int(np.floor((lo - ang) / (2 * np.pi))) - 1,
                                       int(np.ceil((hi - ang) / (2 * np.pi))) + 2))
-            if hits:
-                out.append(radial)
-            else:
-                out.append(min(abs(self.z(0.0) - p), abs(self.z(1.0) - p)))
+            out.append(radial if hits else min(abs(self.z(0.0) - p), abs(self.z(1.0) - p)))
         return min(out)
 
     def to_dict(self):
@@ -247,10 +241,8 @@ class RationalConnection:
 
     def sigma_residual(self, zs):
         """Max of ``|A(conj z) + bar(A(z))|`` over the sample points."""
-        worst = 0.0
-        for z in np.atleast_1d(zs):
-            worst = max(worst, float(np.max(np.abs(self(np.conj(z)) + self(z).conj().T))))
-        return worst
+        return max([0.0] + [float(np.max(np.abs(self(np.conj(z)) + self(z).conj().T)))
+                            for z in np.atleast_1d(zs)])
 
 
 def xi_map(x1, x2, x3=None, t=np.pi):
@@ -353,37 +345,28 @@ def _step_doubling(segs, g, s0, h, basis, scale):
     return half, np.where(np.isfinite(err), err, 2.0)
 
 
-def holonomy(conn, contour, tol=1e-10):
-    """Path-ordered transport of the connection along the contour.
+def _transport(x1s, x2s, scale, paths, tol):
+    """Transports of the residue stacks ``(B, n, n)`` along each path, ``(len(paths), B, n, n)``.
 
-    ``contour`` may be a ``Contour`` or a bare segment list.  The result has
-    unit determinant; reversing the contour inverts it and concatenation
-    composes as ``Hol(c2 o c1) = Hol(c2) Hol(c1)``.  This is
-    ``holonomy_batch`` on a batch of one.
+    A path is a ``Contour`` or a segment list.  One adaptive loop serves
+    every segment of every path.  Its panel table holds each unresolved
+    panel as a (segment, start, width) row in path order; each round
+    compares the next panels with their two halves (step doubling) in one
+    batch and keeps the halves.  Panels are shared by the stack, so the error
+    is the maximum over it.  A panel whose error exceeds ``tol * h`` is split
+    into ``ceil((err / (tol h))^(1/6))`` parts, since the local error of the
+    sixth-order step scales as ``h^7``.  Each round folds every path's
+    resolved prefix into its transport, one panel after another in path
+    order, so few propagators are held at a time.  Overflow ends the
+    transport, which bounds the work any input can cause.
     """
-    return holonomy_batch(conn.X1[None], conn.X2[None], conn.scale, contour, tol)[0]
-
-
-def _transport(paths, basis, scale, tol):
-    """Transports of the stack behind ``basis`` along each path, ``(len(paths), B, n, n)``.
-
-    One adaptive loop serves every segment of every path (a segment list).
-    Its panel table holds each unresolved panel as a (segment, start, width)
-    row in path order; each round compares the next panels with their two
-    halves (step doubling) in one batch and keeps the halves.  Panels are
-    shared by the stack, so the error is the maximum over it.  A panel whose
-    error exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))``
-    parts, since the local error of the sixth-order step scales as ``h^7``.
-    Each round folds every path's resolved prefix into its transport, one
-    panel after another in path order, so few propagators are held at a
-    time.  Overflow ends the transport, which bounds the work any input can
-    cause.
-    """
+    paths = [p.segments if isinstance(p, Contour) else list(p) for p in paths]
     segs = [seg for path in paths for seg in path]
     for seg in segs:
         if (d := seg.pole_distance()) < 0.9 * POLE_MARGIN:
             raise PoleTooClose(f"segment from {seg.z(0.0):.4f} passes {d:.4f} "
                                f"from a pole (margin {POLE_MARGIN})")
+    basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
     per_call = max(1, min(_MAX_PANELS, _CHUNK // (3 * basis.shape[1])))
     owner = [i for i, path in enumerate(paths) for _ in path]
     psi = np.tile(np.eye(basis.shape[-1], dtype=complex), (len(paths), basis.shape[1], 1, 1))
@@ -420,17 +403,29 @@ def _transport(paths, basis, scale, tol):
     return psi
 
 
+def _holonomies(conn, paths, tol):
+    """Holonomies of one connection along each path, ``(len(paths), n, n)``, in one transport."""
+    return _transport(conn.X1[None], conn.X2[None], conn.scale, paths, tol)[:, 0]
+
+
+def holonomy(conn, contour, tol=1e-10):
+    """Path-ordered transport of the connection along the contour.
+
+    ``contour`` may be a ``Contour`` or a bare segment list.  The result has
+    unit determinant; reversing the contour inverts it and concatenation
+    composes as ``Hol(c2 o c1) = Hol(c2) Hol(c1)``.
+    """
+    return _holonomies(conn, [contour], tol)[0]
+
+
 def holonomy_batch(x1s, x2s, scale, contour, tol=1e-10):
     """Transport a stack of connections along a shared contour.
 
     ``x1s`` and ``x2s`` are ``(B, n, n)`` residue stacks.  The panels are
     shared by the stack (refined until every connection meets ``tol``), so
-    the transports of nearby connections see one discretisation.  All the
-    segments of the contour are refined in one adaptive loop.
+    the transports of nearby connections see one discretisation.
     """
-    segs = contour.segments if isinstance(contour, Contour) else list(contour)
-    basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
-    return _transport([segs], basis, scale, tol)[0]
+    return _transport(x1s, x2s, scale, [contour], tol)[0]
 
 
 def _slice_segment(seg, sa, sb):
@@ -465,9 +460,7 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
     piece is transported once; the loop re-based at a cut is the product of
     the pieces from that cut around to it again.
     """
-    basis = _bracket_basis(np.asarray(conn.X1, dtype=complex)[None],
-                           np.asarray(conn.X2, dtype=complex)[None])
-    hols = list(_transport(_cut(segments, cuts), basis, conn.scale, tol)[:, 0])
+    hols = list(_holonomies(conn, _cut(segments, cuts), tol))
     marks = sorted(cuts)
     out = []
     for c in cuts:
@@ -483,13 +476,14 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
 # checks and observables
 # ---------------------------------------------------------------------------
 
+def _sigma_residual(h, h_tau):
+    """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` from ``Hol(c)`` and ``Hol(tau(c))``."""
+    return float(np.linalg.norm(h_tau - np.linalg.inv(h.conj().T)))
+
+
 def sigma_check(conn, contour):
     """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` for the reflected path."""
-    basis = _bracket_basis(np.asarray(conn.X1, dtype=complex)[None],
-                           np.asarray(conn.X2, dtype=complex)[None])
-    h, href = _transport([contour.segments, contour.reflected().segments], basis,
-                         conn.scale, _SIGMA_ODE_TOL)[:, 0]
-    return float(np.linalg.norm(href - np.linalg.inv(h.conj().T)))
+    return _sigma_residual(*_holonomies(conn, [contour, contour.reflected()], _SIGMA_ODE_TOL))
 
 
 def hole_conjugacy_check(hol, j, H, t):
@@ -547,7 +541,10 @@ class Catalogue:
                                                   and 0.0 <= where[1] <= 1.0):
                         raise SchemaError(f"{c.name}: crossing location {list(where)} "
                                           f"is not on {on.name}")
-        for a, b in self.pair_names:
+        for pair in self.pair_names:
+            if len(pair) != 2:
+                raise SchemaError(f"pair {list(pair)} does not name two contours")
+            a, b = pair
             if a not in self.contours or b not in self.contours:
                 raise SchemaError(f"pair ({a}, {b}) names an unknown contour")
             ca = self.contours[a]
@@ -562,14 +559,9 @@ class Catalogue:
 
 def word_segments(catalogue, word):
     """Concatenate catalogue loops (based at 0) realizing a word."""
-    segs = []
-    for w in word:
-        if w.endswith("_inv"):
-            base = catalogue.contours[w[:-4]]
-            segs.extend(s.reverse() for s in reversed(base.segments))
-        else:
-            segs.extend(catalogue.contours[w].segments)
-    return segs
+    loops = [catalogue.contours[w[:-4]].reversed() if w.endswith("_inv")
+             else catalogue.contours[w] for w in word]
+    return [s for loop in loops for s in loop.segments]
 
 
 def resolved_segments(contour_a, datum, contour_b):
@@ -724,8 +716,8 @@ def builtin_catalogue():
 def _seg_param(pair):
     if pair is None:
         return None
-    if not isinstance(pair[0], int):
-        raise SchemaError(f"crossing segment index {pair[0]!r} is not an integer")
+    if len(pair) != 2 or not is_number(pair[0], int) or not is_number(pair[1]):
+        raise SchemaError(f"crossing location {pair!r} is not [segment index, parameter]")
     return (pair[0], float(pair[1]))
 
 
@@ -742,9 +734,11 @@ def load_catalogue(path):
                         segments=[_segment_from_dict(s) for s in cd["segments"]],
                         tau_image=cd.get("tau_image"))
             for idt in cd.get("intersections", []):
+                if not is_number(idt["sign"], int) or idt["sign"] not in (1, -1):
+                    raise SchemaError(f"crossing sign {idt['sign']!r} is not 1 or -1")
                 c.intersections.append(IntersectionDatum(
                     other=idt["with"], point=complex(*idt["point"]),
-                    sign=int(idt["sign"]),
+                    sign=idt["sign"],
                     resolution_word=tuple(idt["resolution_word"]),
                     seg_param=_seg_param(idt.get("seg_param")),
                     other_seg_param=_seg_param(idt.get("other_seg_param"))))

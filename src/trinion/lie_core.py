@@ -178,8 +178,7 @@ class AlgebraContext:
         mats = list(cart)
         for j in range(n):
             for k in range(j + 1, n):
-                e = np.zeros((n, n), dtype=complex)
-                e[j, k] = 1.0
+                e = self.root_generator(j, k)
                 mats.append((e - e.T) / np.sqrt(2))
                 mats.append(1j * (e + e.T) / np.sqrt(2))
                 offs.append((j, k))

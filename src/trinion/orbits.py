@@ -160,6 +160,16 @@ def _norms(f):
     return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
 
 
+def _damped_steps(normal, rhs):
+    """``normal^-1 rhs`` over a stack; NaN for a singular matrix, each then solved alone."""
+    try:
+        return np.linalg.solve(normal, rhs)
+    except np.linalg.LinAlgError:
+        if len(normal) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_damped_steps(a[None], b[None]) for a, b in zip(normal, rhs)])
+
+
 def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
     """Damped Gauss-Newton on SU(n)^3 with exponential retractions, over a stack of trials.
 
@@ -190,13 +200,17 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
         jac = jacobian(ks[live], state[live])
         jt = jac.swapaxes(-1, -2)
         rhs = -(jt @ f[live][..., None])
-        step = np.linalg.solve(jt @ jac + lam[live, None, None] * eye, rhs)[..., 0]
+        step = _damped_steps(jt @ jac + lam[live, None, None] * eye, rhs)[..., 0]
+        # at large t theta the damping vanishes against the gauge null space of J^T J;
+        # a trial whose matrix is singular has no step and counts as rejected
+        solved = ~np.isnan(step).any(axis=1)
+        step[~solved] = 0.0
         turn = _exp_su(ctx, np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb),
                                       ctx.compact_basis))
         new_ks = turn @ ks[live]
         new_state, f_new = residual(new_ks)
         new_best = _norms(f_new)
-        better = new_best < best[live]
+        better = (new_best < best[live]) & solved
         up, down = live[better], live[~better]
         ks[up], state[up], f[up], best[up] = (new_ks[better], new_state[better],
                                               f_new[better], new_best[better])

@@ -23,8 +23,8 @@ from .decompositions import (BracketSpace, dressing_action, e_map, f_inverse, f_
 from .errors import SpectralMismatch
 from .graph_poisson import (chi_map, figure_three, fr_bracket, fr_vs_kstar,
                             goldman_rhs, GraphConnection)
-from .holonomy import (builtin_catalogue, hole_conjugacy_check, holonomy,
-                       holonomy_batch, sigma_check, xi_map)
+from .holonomy import (_SIGMA_ODE_TOL, _holonomies, _sigma_residual, builtin_catalogue,
+                       hole_conjugacy_check, holonomy_batch, xi_map)
 from .lie_core import _expm, build_algebra, cybe_residual, r_matrix, weyl_normalize
 from .orbits import (NoSolution, gauge_fix, kk_bracket, solve_moment_zero,
                      tangent_rank)
@@ -52,11 +52,8 @@ class CheckRecord:
 def _random_twist(ctx, rng):
     m = ctx.n - 1
     u = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            u[i, j] = rng.normal(0, 0.4)
-            u[j, i] = -u[i, j]
-    return u
+    u[np.triu_indices(m, 1)] = rng.normal(0, 0.4, m * (m - 1) // 2)
+    return u - u.T
 
 
 def _random_sl(ctx, rng, scale=0.6):
@@ -74,9 +71,8 @@ def _random_kstar(ctx, rng, u=None):
 
     diag = np.exp(-theta + 1j * _theta_twist(ctx, u, theta))
     m = np.diag(diag).astype(complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = rng.normal(0, 0.5) + 1j * rng.normal(0, 0.5)
+    z = rng.normal(0, 0.5, (n * (n - 1) // 2, 2))
+    m[np.triu_indices(n, 1)] = z[:, 0] + 1j * z[:, 1]
     return kstar_from_matrix(ctx, m)
 
 
@@ -200,17 +196,19 @@ def _gauge_fixed_solutions(ctx, seed, count, lo=0.15, hi=0.6):
 def suite_xi_geometry(seed=0, ns=(2, 3), count=20):
     rec = []
     cat = builtin_catalogue()
-    sigma_names = ["gamma1", "gamma2", "gamma3", "eight_narrow", "circle_both"]
+    # the hole loops first: their transports also serve the spectra and the loop product
+    loops = [cat.contours[nm] for nm in ("gamma1", "gamma2", "gamma3", "eight_narrow",
+                                         "circle_both")]
+    paths = loops + [c.reflected() for c in loops]
     for n in ns:
         ctx = build_algebra(n)
         sols = _gauge_fixed_solutions(ctx, seed, count, lo=0.12, hi=0.35)
         worst_sigma, worst_spec, worst_prod = 0.0, 0.0, 0.0
         hyper_ok = True
         for sol in sols:
-            conn = xi_map(*sol.points)
-            for name in sigma_names:
-                worst_sigma = max(worst_sigma, sigma_check(conn, cat.contours[name]))
-            hols = [holonomy(conn, cat.contours[f"gamma{j}"], 1e-10) for j in (1, 2, 3)]
+            hols = _holonomies(xi_map(*sol.points), paths, _SIGMA_ODE_TOL)
+            worst_sigma = max(worst_sigma, *map(_sigma_residual, hols[:len(loops)],
+                                                hols[len(loops):]))
             for j, (hol, p) in enumerate(zip(hols, sol.points), start=1):
                 try:
                     rep = hole_conjugacy_check(hol, j, p.H, np.pi)
@@ -314,6 +312,7 @@ def suite_goldman(seed=0, ns=(2, 3), points=20):
 def suite_chi(seed=0, ns=(2, 3), count=20):
     rec = []
     fig = figure_three()
+    arcs = [fig.arc_segments[e] for e in ("e1", "e2", "e3")]
     for n in ns:
         ctx = build_algebra(n)
         rng = np.random.default_rng((seed, n, 5))
@@ -321,8 +320,7 @@ def suite_chi(seed=0, ns=(2, 3), count=20):
         sols = _gauge_fixed_solutions(ctx, seed + 1, count)
         worst_prod, worst_spec = 0.0, 0.0
         for i, sol in enumerate(sols):
-            conn = xi_map(*sol.points)
-            gs = [holonomy(conn, fig.arc_segments[e], 1e-11) for e in ("e1", "e2", "e3")]
+            gs = _holonomies(xi_map(*sol.points), arcs, 1e-11)
             if i == 0:
                 gs_fr = gs
             ks = chi_map(ctx, *gs)
@@ -333,7 +331,6 @@ def suite_chi(seed=0, ns=(2, 3), count=20):
                 ev = np.sort(np.linalg.eigvalsh(f_map(k).matrix))
                 want = np.sort(np.exp(-2.0 * np.pi * np.array(p.H.theta)))
                 worst_spec = max(worst_spec, float(np.max(np.abs(ev - want) / want)))
-        worst_fr = 0.0
         slot_pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
         reports = []
         for s1, s2 in slot_pairs:
@@ -345,12 +342,8 @@ def suite_chi(seed=0, ns=(2, 3), count=20):
         # cross-slot values vanish identically; score them on the scale of
         # the nonzero same-slot brackets rather than against zero
         scale = max(1.0, max(abs(r["plb_value"]) for r in reports))
-        for rep in reports:
-            if max(abs(rep["fr_value"]), abs(rep["plb_value"])) > 1e-4 * scale:
-                worst_fr = max(worst_fr, rep["rel_err"])
-            else:
-                worst_fr = max(worst_fr,
-                               abs(rep["fr_value"] - rep["plb_value"]) / scale)
+        worst_fr = max(r["rel_err"] if max(abs(r["fr_value"]), abs(r["plb_value"])) > 1e-4 * scale
+                       else abs(r["fr_value"] - r["plb_value"]) / scale for r in reports)
         rec.append(CheckRecord(f"chi.product.n{n}", worst_prod, 1e-8, 0.0))
         rec.append(CheckRecord(f"chi.orbit_spectra.n{n}", worst_spec, 1e-7, 0.0))
         rec.append(CheckRecord(f"chi.fr_vs_kstar.n{n}", worst_fr, 1e-4, 0.0))
@@ -367,10 +360,8 @@ def suite_dimension(seed=0, ns=(2, 3)):
         if n not in ns:
             continue
         ctx = build_algebra(n)
-        sols = _gauge_fixed_solutions(ctx, seed + 2, 2)
-        worst = 0
-        for sol in sols:
-            worst = max(worst, abs(tangent_rank(ctx, sol) - expect))
+        worst = max(abs(tangent_rank(ctx, sol) - expect)
+                    for sol in _gauge_fixed_solutions(ctx, seed + 2, 2))
         rec.append(CheckRecord(f"dimension.n{n}", float(worst), 0.0, 0.0))
     return rec
 

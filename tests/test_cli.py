@@ -110,6 +110,17 @@ def test_solve_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("cfg", [{"t": 20.0}, {"thetas": [[3, -3]] * 3}])
+def test_solve_kstar_large_t_theta(tmp_path, cfg):
+    """Large ``t theta`` makes some damped normal matrices singular: still JSON, exit 0 or 1."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trinion.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "trinion.cli", "--config",
+                           _write_json(tmp_path / "c.json", cfg), "solve", "kstar"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+    assert isinstance(json.loads(proc.stdout), dict)
+
+
 def test_solve_kstar(tmp_path):
     out = tmp_path / "sol.json"
     code = run(["--out", str(out), "--t", "0.7", "solve", "kstar"])
@@ -248,6 +259,13 @@ _BAD_CATALOGUES = {
     "catalogue_nan_radius": lambda p, c: c["circle_plus"]["segments"][0].update(
         radius=float("nan")),
     "catalogue_gap": lambda p, c: c["gamma1"]["segments"][0].update(end=[0.4, 0.0]),
+    "catalogue_pair_one_name": lambda p, c: p["pairs"].append(["gamma1"]),
+    "catalogue_pair_three_names": lambda p, c: p["pairs"].append(["gamma1", "gamma2", "gamma3"]),
+    "catalogue_seg_index_bool": lambda p, c: _first_crossing(c, seg_param=[True, 0.5]),
+    "catalogue_param_string": lambda p, c: _first_crossing(c, seg_param=[0, "0.5"]),
+    "catalogue_param_bool": lambda p, c: _first_crossing(c, seg_param=[0, True]),
+    **{f"catalogue_sign_{v!r}": lambda p, c, v=v: _first_crossing(c, sign=v)
+       for v in ("1", 1.7, True, 0, 5)},
 }
 
 

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from trinion.errors import (ConstraintViolated, GeometryError, PoleTooClose,
                             SchemaError, SpectralMismatch, ToleranceNotMet)
 from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnection, _cut,
-                              builtin_catalogue, goldman_function,
+                              _holonomies, builtin_catalogue, goldman_function,
                               hole_conjugacy_check, holonomy, holonomy_batch,
                               load_catalogue, rebased_holonomies,
                               resolved_segments, sigma_check, word_segments, xi_map)
@@ -185,7 +185,15 @@ def test_batch_matches_single_and_rebased_pieces():
                      (CAT.contours[b].segments, [d.other_seg_param for d in data])]
     conn3 = RationalConnection(X1=CTX3.random_compact(RNG, 0.3),
                                X2=CTX3.random_compact(RNG, 0.3), scale=1.0)
+    # one transport of several paths (contours, reflections and a bare segment
+    # list) gives each path's own holonomy; only the Pade degree of the shared
+    # exponential stacks can differ, which moves the last bits
+    paths = [CAT.contours[nm] for nm in ("gamma1", "gamma3", "eight_narrow", "double_wind")]
+    paths += [CAT.contours["circle_both"].reflected(), CAT.contours["gamma2"].segments]
     for cn in (conn, conn3):
+        for path, hol in zip(paths, _holonomies(cn, paths, 1e-11)):
+            want = holonomy(cn, path, 1e-11)
+            assert np.linalg.norm(hol - want) <= 1e-13 * np.linalg.norm(want)
         for segs, cuts in cut_sets:
             pieces, marks = _cut(segs, cuts), sorted(cuts)
             alone = [holonomy(cn, piece, 1e-11) for piece in pieces]
@@ -197,6 +205,31 @@ def test_batch_matches_single_and_rebased_pieces():
                 for m in alone[j + 1:] + alone[:j]:
                     want = m @ want
                 assert np.linalg.norm(reb - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_one_transport_per_connection(monkeypatch):
+    """xi_geometry transports a solution's loops in one call, goldman_rhs its splices."""
+    from trinion.graph_poisson import goldman_rhs
+    from trinion.verify import suite_xi_geometry
+
+    module = importlib.import_module("trinion.holonomy")
+    transport, calls = module._transport, []
+
+    def counted(x1s, x2s, scale, paths, tol):
+        calls.append(len(paths))
+        return transport(x1s, x2s, scale, paths, tol)
+
+    monkeypatch.setattr(module, "_transport", counted)
+    for n in (2, 3):
+        calls.clear()
+        assert all(r.status for r in suite_xi_geometry(ns=(n,), count=1))
+        assert calls == [10]
+    a, b = CAT.contours["circle_plus"], CAT.contours["circle_minus"]
+    crossings = [d for d in a.intersections if d.other == b.name]
+    calls.clear()
+    goldman_rhs(CTX2, xi_map(CTX2.random_compact(RNG, 0.1), CTX2.random_compact(RNG, 0.1)), a, b)
+    # re-based loops of each contour, then every splice
+    assert calls == [len(crossings) + 1, len(crossings) + 1, len(crossings)]
 
 
 def test_pole_too_close(monkeypatch):

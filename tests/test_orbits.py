@@ -123,6 +123,16 @@ def test_solver_flat_triangle_single_trial():
         assert sol.residual <= 1e-10
 
 
+@pytest.mark.parametrize("theta, t", [(0.3, 20.0), (3.0, np.pi)])
+def test_dual_solver_singular_normal_matrix(theta, t):
+    """At large ``t theta`` the damped normal matrix of some trials is singular
+    (the gauge null space of ``J^T J`` outweighs the damping); such a trial's
+    step is rejected instead of ending the solve with ``LinAlgError``."""
+    h = weyl_normalize([theta, -theta])
+    sol = solve_moment_kstar(CTX2, h, h, h, t=t, seed=0, restarts=3)
+    assert isinstance(sol, (MomentSolution, NoSolution))
+
+
 def test_solver_reported_residual_consistent():
     sol = solve_moment_zero(CTX2, H03, H03, H03, seed=3)
     recomputed = np.linalg.norm(CTX2.compact_coords(sum(p.X for p in sol.points)))
