@@ -161,13 +161,15 @@ def _norms(f):
 
 
 def _damped_steps(normal, rhs):
-    """``normal^-1 rhs`` over a stack; NaN for a singular matrix, each then solved alone."""
+    """Steps ``normal^-1 rhs`` over a stack, zero where ``normal`` is singular, and that mask;
+    only a stack with a singular matrix is solved matrix by matrix, as the stacked solve does."""
     try:
-        return np.linalg.solve(normal, rhs)
+        return np.linalg.solve(normal, rhs)[..., 0], np.zeros(len(normal), bool)
     except np.linalg.LinAlgError:
         if len(normal) == 1:
-            return np.full(rhs.shape, np.nan)
-        return np.concatenate([_damped_steps(a[None], b[None]) for a, b in zip(normal, rhs)])
+            return np.zeros(rhs.shape[:-1]), np.ones(1, bool)
+        steps, singular = zip(*(_damped_steps(a[None], b[None]) for a, b in zip(normal, rhs)))
+        return np.concatenate(steps), np.concatenate(singular)
 
 
 def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
@@ -200,17 +202,15 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
         jac = jacobian(ks[live], state[live])
         jt = jac.swapaxes(-1, -2)
         rhs = -(jt @ f[live][..., None])
-        step = _damped_steps(jt @ jac + lam[live, None, None] * eye, rhs)[..., 0]
-        # at large t theta the damping vanishes against the gauge null space of J^T J;
-        # a trial whose matrix is singular has no step and counts as rejected
-        solved = ~np.isnan(step).any(axis=1)
-        step[~solved] = 0.0
+        step, singular = _damped_steps(jt @ jac + lam[live, None, None] * eye, rhs)
         turn = _exp_su(ctx, np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb),
                                       ctx.compact_basis))
         new_ks = turn @ ks[live]
         new_state, f_new = residual(new_ks)
         new_best = _norms(f_new)
-        better = (new_best < best[live]) & solved
+        better = new_best < best[live]
+        # the damping can vanish against the gauge null space of J^T J at large t theta:
+        better[singular] = False  # a trial with a singular matrix has no step, so it is rejected
         up, down = live[better], live[~better]
         ks[up], state[up], f[up], best[up] = (new_ks[better], new_state[better],
                                               f_new[better], new_best[better])

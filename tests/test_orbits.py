@@ -6,8 +6,8 @@ from trinion.errors import EvaluationError
 from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
-from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, _kstar_callbacks,
-                            _levenberg_marquardt, _solve, _zero_callbacks,
+from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, _damped_steps,
+                            _kstar_callbacks, _levenberg_marquardt, _solve, _zero_callbacks,
                             diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
                             orbit_point, sample_orbit, solve_moment_kstar,
                             solve_moment_zero, tangent_rank)
@@ -131,6 +131,15 @@ def test_dual_solver_singular_normal_matrix(theta, t):
     h = weyl_normalize([theta, -theta])
     sol = solve_moment_kstar(CTX2, h, h, h, t=t, seed=0, restarts=3)
     assert isinstance(sol, (MomentSolution, NoSolution))
+
+
+def test_damped_steps_singular_matrix_leaves_the_stack_unchanged():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(3, 9, 9)), rng.normal(size=(3, 9, 1))
+    a[1, :, 0] = 0.0
+    steps, singular = _damped_steps(a, b)
+    assert singular.tolist() == [False, True, False] and not steps[1].any()
+    assert np.array_equal(steps[[0, 2]], np.linalg.solve(a[[0, 2]], b[[0, 2]])[..., 0])
 
 
 def test_solver_reported_residual_consistent():
