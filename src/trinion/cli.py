@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _serialize
 from .decompositions import BracketSpace, sklyanin_eval
-from .errors import ConstraintViolated, SchemaError, TrinionError
+from .errors import ConstraintViolated, MissingIntersectionData, SchemaError, TrinionError
 from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
@@ -218,7 +218,12 @@ def cmd_bracket(cfg, kind, args):
         x1 = ctx.random_compact(rng, 0.3)
         x2 = ctx.random_compact(rng, 0.3)
         conn = xi_map(x1, x2, -(x1 + x2), t=cfg["t"])
-        rep = goldman_rhs(ctx, conn, ca, cb, cfg["tolerances"]["ode"])
+        try:
+            rep = goldman_rhs(ctx, conn, ca, cb, cfg["tolerances"]["ode"])
+        except MissingIntersectionData as exc:
+            if any(d.other == cb.name for d in ca.intersections):
+                raise  # records without crossing parameters: the bracket has no value
+            raise SchemaError(str(exc)) from exc  # no records of this pair, in this order
         payload = {"casimir_form": rep["casimir_form"], "trace_form": rep["trace_form"],
                    "points": len(rep["points"])}
     elif kind == "kk":

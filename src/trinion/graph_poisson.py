@@ -30,7 +30,7 @@ import numpy as np
 
 from .decompositions import BracketSpace, iwasawa_dual, sklyanin_eval
 from .errors import MissingIntersectionData, SchemaError
-from .holonomy import (ArcSegment, _holonomies, arc_crossings, rebased_holonomies,
+from .holonomy import (ArcSegment, _cut, _holonomies, _rebased, arc_crossings,
                        resolved_segments)
 from .lie_core import _central_differences, _point_value, _r_contract, bar
 
@@ -281,11 +281,11 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     Casimir contraction ``-W sum_p sign(p) sum_a Tr(t_a M_p) Tr(t_a N_p)``
     and the trace-resolution form ``W sum_p sign(p) (phi_resolved -
     phi_a phi_b / n)``; ``W = 2 pi i`` is the crossing weight.  With
-    ``geometric`` the resolved traces come from one transport of all the
-    spliced contours, otherwise from products of the re-based holonomies.
-    Raises ``MissingIntersectionData`` when the contours cross but carry no
-    data.  The re-based holonomies are products of the pieces between the
-    crossings, each transported once.
+    ``geometric`` the resolved traces come from the spliced contours,
+    otherwise from products of the re-based holonomies, themselves products
+    of the pieces between the crossings.  The pieces of both contours and the
+    splices take one transport call.  Raises ``MissingIntersectionData`` when
+    the contours cross but carry no data.
     """
     data = [d for d in contour_a.intersections if d.other == contour_b.name]
     if not data:
@@ -297,14 +297,13 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
         raise MissingIntersectionData(
             f"pair ({contour_a.name}, {contour_b.name}) has records without crossing parameters")
 
-    ms = rebased_holonomies(conn, contour_a.segments, [d.seg_param for d in data], ode_tol)
-    ns = rebased_holonomies(conn, contour_b.segments, [d.other_seg_param for d in data],
-                            ode_tol)
-    if geometric:
-        resolved = _holonomies(conn, [resolved_segments(contour_a, d, contour_b) for d in data],
-                               ode_tol)
-    else:
-        resolved = [m @ nmat for m, nmat in zip(ms, ns)]
+    cuts_a, cuts_b = [d.seg_param for d in data], [d.other_seg_param for d in data]
+    splices = [resolved_segments(contour_a, d, contour_b) for d in data] if geometric else []
+    k = len(data) + 1
+    hols = _holonomies(conn, _cut(contour_a.segments, cuts_a) + _cut(contour_b.segments, cuts_b)
+                       + splices, ode_tol)
+    ms, ns = _rebased(hols[:k], cuts_a), _rebased(hols[k:2 * k], cuts_b)
+    resolved = hols[2 * k:] if geometric else [m @ nmat for m, nmat in zip(ms, ns)]
     cas, tr, points = 0j, 0j, []
     for d, m, nmat, res in zip(data, ms, ns, resolved):
         res_tr = np.trace(res)

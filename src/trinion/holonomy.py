@@ -460,8 +460,12 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
     piece is transported once; the loop re-based at a cut is the product of
     the pieces from that cut around to it again.
     """
-    hols = list(_holonomies(conn, _cut(segments, cuts), tol))
-    marks = sorted(cuts)
+    return _rebased(_holonomies(conn, _cut(segments, cuts), tol), cuts)
+
+
+def _rebased(pieces, cuts):
+    """The loop re-based at each cut from the holonomies of the pieces ``_cut`` gives."""
+    hols, marks = list(pieces), sorted(cuts)
     out = []
     for c in cuts:
         j = marks.index(c) + 1

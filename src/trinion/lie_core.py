@@ -187,7 +187,6 @@ class AlgebraContext:
         self.real_basis = np.concatenate([self.compact_basis, 1j * self.compact_basis])
         self.positive_roots = offs
         self.dim_compact = n * n - 1
-        self._structure = None
         self._fd_exponentials = {}
 
     def root_generator(self, j, k):
@@ -199,27 +198,20 @@ class AlgebraContext:
     # ---- coordinates over the real basis -------------------------------
 
     def compact_coords(self, x):
-        """Coordinates of x in su(n) over the compact basis (x must be in su(n))."""
-        return np.array([pair(t, x).real for t in self.compact_basis])
+        """Coordinates over the compact basis of elements of su(n), over leading axes."""
+        return pair(self.compact_basis, np.asarray(x)[..., None, :, :]).real
 
     def real_coords(self, x):
-        """Coordinates of a traceless matrix over the real basis."""
+        """Coordinates over the real basis of traceless matrices, over leading axes."""
         x = np.asarray(x)
-        a = (x - x.conj().T) / 2
-        b = -1j * (x + x.conj().T) / 2
-        return np.concatenate([self.compact_coords(a), self.compact_coords(b)])
+        a = (x - bar(x)) / 2
+        b = -1j * (x + bar(x)) / 2
+        return np.concatenate([self.compact_coords(a), self.compact_coords(b)], axis=-1)
 
     def structure_constants(self):
         """f[a, c, e] with [t_a, t_c] = sum_e f[a,c,e] t_e over the real basis."""
-        if self._structure is None:
-            rb = self.real_basis
-            m = len(rb)
-            f = np.zeros((m, m, m))
-            for a in range(m):
-                for c in range(m):
-                    f[a, c, :] = self.real_coords(rb[a] @ rb[c] - rb[c] @ rb[a])
-            self._structure = f
-        return self._structure
+        rb = self.real_basis
+        return self.real_coords(rb[:, None] @ rb - rb @ rb[:, None])
 
     def fd_exponentials(self, h):
         """``(exp(h t_a), exp(-h t_a))`` over the real basis, built once per step."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .decompositions import (KStarElement, _iwasawa_dual, dressing_action, e_map, f_map,
                              kstar_from_matrix)
-from .errors import IllConditioned, NonRegular
+from .errors import IllConditioned, NonRegular, ToleranceNotMet
 from .lie_core import CartanVector, _central_differences, _point_value, pair
 
 __all__ = [
@@ -110,13 +110,23 @@ def kk_bracket(ctx, psi1, psi2, P, fd_step=1e-5):
     """
     P = np.asarray(P)
     lead = P.ndim - 2
-    steps = np.array([fd_step, -fd_step])[:, None, None, None] * ctx.compact_basis
-    points = P[..., None, None, :, :] + steps
+    points = _step_points(ctx, P, fd_step)
     g1 = _central_differences(psi1(points), lead, fd_step)
     g2 = _central_differences(psi2(points), lead, fd_step)
+    return _point_value(_orbit_pairing(ctx, P, g1, g2).real)
+
+
+def _step_points(ctx, P, fd_step):
+    """The points ``P ± h t_a`` of ``P`` with leading axes ``lead``: ``lead + (2, N, n, n)``."""
+    steps = np.array([fd_step, -fd_step])[:, None, None, None] * ctx.compact_basis
+    return P[..., None, None, :, :] + steps
+
+
+def _orbit_pairing(ctx, P, g1, g2):
+    """``<P, [grad1, grad2]>`` from the gradients' (real or complex) compact-basis coordinates."""
     grad1 = np.einsum("...a,aij->...ij", g1, ctx.compact_basis)
     grad2 = np.einsum("...a,aij->...ij", g2, ctx.compact_basis)
-    return _point_value(pair(P, grad1 @ grad2 - grad2 @ grad1).real)
+    return pair(P, grad1 @ grad2 - grad2 @ grad1)
 
 
 def diag_coadjoint(k, points):
@@ -192,7 +202,7 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
     best = _norms(f)
     stall_ref = best.copy()
     iters = np.zeros(len(ks), dtype=int)
-    running = best > tol
+    running = np.isfinite(best) & (best > tol)  # a non-finite start has no Jacobian
     eye = np.eye(3 * nb)
     for it in range(1, _MAX_ITER + 1):
         live = np.flatnonzero(running)
@@ -231,7 +241,7 @@ def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
 
     Trial 0 runs alone, then trials ``1..restarts-1`` run as one stack.  The
     lowest-index trial reaching ``tol`` wins: returns ``(trial, ks,
-    residual)``, else ``NoSolution``.
+    residual)``, else ``NoSolution``; raises when no trial reaches a finite residual.
     """
     best = np.inf
     for trials in (range(min(1, restarts)), range(1, restarts)):
@@ -246,7 +256,9 @@ def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
         won = np.flatnonzero(res <= tol)
         if won.size:
             return trials[won[0]], ks[won[0]], res[won[0]]
-        best = min(best, np.min(res))
+        best = min(best, np.fmin.reduce(res))  # fmin skips NaN
+    if not np.isfinite(best):
+        raise ToleranceNotMet("non-finite solver state: no trial reached a finite residual")
     return NoSolution(best_residual=float(best), trials=restarts)
 
 
@@ -341,15 +353,14 @@ def _dressing_jacobian(ctx, bases, steps, ks, mats, u):
     Jacobian of the product residual, shape ``(..., 2n², 3nb)`` with column
     ``i*nb + b``, and the derivative of the moved slot, ``(..., 3, nb, n, n)``.
     """
-    fd = _DRESSING_FD
     moved = _dressed(ctx, bases[:, None], steps[:, None] @ ks[..., None, :, None, :, :], u)
     m0, m1, m2 = (mats[..., None, None, i, :, :] for i in range(3))
     res = _product_residual(ctx, np.stack([moved[..., 0, :, :, :] @ m1 @ m2,
                                            m0 @ moved[..., 1, :, :, :] @ m2,
                                            m0 @ m1 @ moved[..., 2, :, :, :]], axis=-4))
-    cols = (res[..., 0, :, :, :] - res[..., 1, :, :, :]) / (2 * fd)
+    cols = _central_differences(res, -4, _DRESSING_FD)
     jac = cols.reshape(cols.shape[:-3] + (-1, cols.shape[-1])).swapaxes(-1, -2)
-    return jac, (moved[..., 0, :, :, :, :] - moved[..., 1, :, :, :, :]) / (2 * fd)
+    return jac, _central_differences(moved, -5, _DRESSING_FD)
 
 
 def _kstar_callbacks(ctx, hs, t, u):
@@ -372,7 +383,6 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
     the zero-level solution's witnesses when there is one.
     """
     hs = [h1, h2, h3]
-    residual, jacobian = _kstar_callbacks(ctx, hs, t, u)
 
     def start(rng):
         zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
@@ -380,7 +390,9 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
             return ctx.random_unitary(rng, (3,))
         return np.array([p.witness for p in zero.points])
 
-    found = _solve(ctx, residual, jacobian, seed, tol, restarts, start=start)
+    with np.errstate(all="ignore"):  # at large t the state overflows, and _solve raises
+        residual, jacobian = _kstar_callbacks(ctx, hs, t, u)
+        found = _solve(ctx, residual, jacobian, seed, tol, restarts, start=start)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_solve_kstar_large_t_theta(tmp_path, cfg):
                           capture_output=True, text=True, env=env)
     assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
     assert isinstance(json.loads(proc.stdout), dict)
+
+
+@pytest.mark.parametrize("t", ["400", "1e5"])
+def test_solve_kstar_non_finite_state(capsys, t):
+    """A dressing state that overflows from the start ends in one error line, exit 1,
+    with no JSON and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--t", t, "solve", "kstar"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite") and len(captured.err.splitlines()) == 1
 
 
 def test_solve_kstar(tmp_path):
@@ -296,12 +309,14 @@ _BAD_MATRICES = {
 }
 
 
-@pytest.mark.parametrize("case", ["contours", "input_missing", "input_no_matrices",
-                                  "verify_n4", "kstar_t0", *_BAD_CONFIGS, *_BAD_CATALOGUES,
-                                  *_BAD_MATRICES])
+@pytest.mark.parametrize("case", ["contours", "contours_reversed", "input_missing",
+                                  "input_no_matrices", "verify_n4", "kstar_t0", *_BAD_CONFIGS,
+                                  *_BAD_CATALOGUES, *_BAD_MATRICES])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     if case == "contours":
         args = ["bracket", "goldman", "--contours", "foo", "bar"]
+    elif case == "contours_reversed":  # the curated pair, in the order it has no records of
+        args = ["bracket", "goldman", "--contours", "eight_wide_rev", "eight_narrow"]
     elif case == "input_missing":
         args = ["map", "chi", "--input", str(tmp_path / "absent.json")]
     elif case == "input_no_matrices":

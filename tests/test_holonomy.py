@@ -208,28 +208,41 @@ def test_batch_matches_single_and_rebased_pieces():
 
 
 def test_one_transport_per_connection(monkeypatch):
-    """xi_geometry transports a solution's loops in one call, goldman_rhs its splices."""
+    """xi_geometry transports a solution's loops in one call, goldman_rhs its pieces and
+    splices, and suite_goldman a point's finite-difference stack along every contour."""
     from trinion.graph_poisson import goldman_rhs
-    from trinion.verify import suite_xi_geometry
+    from trinion.verify import suite_goldman, suite_xi_geometry
 
     module = importlib.import_module("trinion.holonomy")
     transport, calls = module._transport, []
 
     def counted(x1s, x2s, scale, paths, tol):
-        calls.append(len(paths))
+        calls.append((len(paths), len(x1s)))
         return transport(x1s, x2s, scale, paths, tol)
 
     monkeypatch.setattr(module, "_transport", counted)
+    monkeypatch.setattr(importlib.import_module("trinion.verify"), "_transport", counted)
     for n in (2, 3):
         calls.clear()
         assert all(r.status for r in suite_xi_geometry(ns=(n,), count=1))
-        assert calls == [10]
+        assert calls == [(10, 1)]
     a, b = CAT.contours["circle_plus"], CAT.contours["circle_minus"]
-    crossings = [d for d in a.intersections if d.other == b.name]
-    calls.clear()
-    goldman_rhs(CTX2, xi_map(CTX2.random_compact(RNG, 0.1), CTX2.random_compact(RNG, 0.1)), a, b)
-    # re-based loops of each contour, then every splice
-    assert calls == [len(crossings) + 1, len(crossings) + 1, len(crossings)]
+    k = len([d for d in a.intersections if d.other == b.name])
+    conn = xi_map(CTX2.random_compact(RNG, 0.1), CTX2.random_compact(RNG, 0.1))
+    # the k + 1 pieces of each contour, then every splice
+    for geometric, paths in ((True, 2 * (k + 1) + k), (False, 2 * (k + 1))):
+        calls.clear()
+        goldman_rhs(CTX2, conn, a, b, geometric=geometric)
+        assert calls == [(paths, 1)]
+    pairs = [(CAT.contours[pa], CAT.contours[pb]) for pa, pb in CAT.pair_names[:5]]
+    ks = [len([d for d in pa.intersections if d.other == pb.name]) for pa, pb in pairs]
+    names = {c.name for pair in pairs for c in pair}
+    for n in (2, 3):
+        calls.clear()
+        assert all(r.status for r in suite_goldman(ns=(n,), points=1))
+        # one point: its stack, one call per crossing sum; then forms_agree's crossing sums
+        assert calls == ([(len(names), 4 * (n * n - 1))] + [(2 * (m + 1), 1) for m in ks]
+                         + [(2 * (m + 1) + m, 1) for m in ks])
 
 
 def test_pole_too_close(monkeypatch):

@@ -22,6 +22,24 @@ def test_structure_counts_su3():
     assert len(ctx.positive_roots) == 3
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_structure_constants_match_elementwise_loop(n):
+    """Coordinates over leading axes and the stacked commutator are bit-equal to the
+    per-element loop they replace."""
+    ctx = build_algebra(n)
+
+    def coords(x):
+        a, b = (x - x.conj().T) / 2, -1j * (x + x.conj().T) / 2
+        return np.array([pair(t, y).real for y in (a, b) for t in ctx.compact_basis])
+
+    rb = ctx.real_basis
+    want = np.array([[coords(a @ c - c @ a) for c in rb] for a in rb])
+    assert np.array_equal(ctx.structure_constants(), want)
+    x = RNG.normal(size=(4, n, n)) + 1j * RNG.normal(size=(4, n, n))
+    assert np.array_equal(ctx.real_coords(x), np.array([coords(m) for m in x]))
+    assert np.array_equal(ctx.real_coords(x[0]), coords(x[0]))
+
+
 def test_fd_exponentials_cached_per_step():
     ctx = build_algebra(2)
     plus, minus = ctx.fd_exponentials(1e-5)
