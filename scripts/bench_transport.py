@@ -8,7 +8,7 @@ Run from the repository root:
 Each run measures the trinion sources under ``--src`` (this checkout's
 ``src`` by default) and stores them as one column of the output file, named
 by ``--label``; the other columns already in the file are kept, so two runs
-give a before/after table.  Two layers are measured, with BLAS and OpenMP
+give a before/after table.  Three sets of figures are measured, with BLAS and OpenMP
 pinned to one thread:
 
 * ``expm_us_per_matrix``: ``lie_core._expm`` on stacks of 1, 21, 99 and 768
@@ -21,8 +21,16 @@ pinned to one thread:
   (``perfbench/workloads.py`` of this checkout): ``_step_doubling`` calls, matrices exponentiated by the
   transport, and panels accepted (step-doubling error within the tolerance
   of the enclosing transport call).  The counters are exact and repeat from
-  run to run; they are read by wrapping the private functions, which both
-  the per-segment and the one-loop transport have.
+  run to run; they are read by wrapping the private functions, so a call
+  to them must keep the widths as its fourth argument and return the
+  errors last.
+* ``peak_traced_bytes``: the peak of the memory ``tracemalloc`` traces
+  during one ``_transport`` call, above what was traced before it: a
+  33-connection stack along ``double_wind`` (the goldman stack at n = 3)
+  and ten contours of one connection at n = 3, both at tol 1e-10.
+
+A failed check, or a private function whose signature no longer fits the
+wrappers, ends the run with a non-zero exit status.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +88,10 @@ def goldman_counts(holonomy, seed, passes):
 
     counts = {"step_doubling_calls": 0, "expm_matrices": 0, "accepted_panels": 0}
     tols = []
-    transport, step_doubling, expm = holonomy._transport, holonomy._step_doubling, holonomy._expm
+    # the transport exponentiates (..., n, n) stacks through _expm, or (n, n, M) ones
+    name = "_expm_stack" if hasattr(holonomy, "_expm_stack") else "_expm"
+    transport, step_doubling, expm = (holonomy._transport, holonomy._step_doubling,
+                                      getattr(holonomy, name))
 
     def counted_transport(*args):
         tols.append(args[-1])
@@ -89,20 +101,19 @@ def goldman_counts(holonomy, seed, passes):
             tols.pop()
 
     def counted_step_doubling(*args):
-        props, err = step_doubling(*args)
-        h = args[-3]
+        out = step_doubling(*args)
         counts["step_doubling_calls"] += 1
-        goal = np.maximum(tols[-1] * h, holonomy._ROUNDOFF)
-        counts["accepted_panels"] += int(np.sum(err <= goal))
-        return props, err
+        goal = np.maximum(tols[-1] * args[3], holonomy._ROUNDOFF)
+        counts["accepted_panels"] += int(np.sum(out[-1] <= goal))
+        return out
 
     def counted_expm(a):
-        counts["expm_matrices"] += a.size // a.shape[-1] ** 2
+        counts["expm_matrices"] += a.size // a.shape[0 if name == "_expm_stack" else -1] ** 2
         return expm(a)
 
     holonomy._transport = counted_transport
     holonomy._step_doubling = counted_step_doubling
-    holonomy._expm = counted_expm
+    setattr(holonomy, name, counted_expm)
     try:
         env = workloads.build_context()
         for i in range(passes):
@@ -110,9 +121,30 @@ def goldman_counts(holonomy, seed, passes):
                 if not all(r.residual <= r.tolerance for r in call.fn()):
                     raise SystemExit(f"bench_transport: a check of {call.label} failed")
     finally:
-        holonomy._transport, holonomy._step_doubling, holonomy._expm = (
-            transport, step_doubling, expm)
+        holonomy._transport, holonomy._step_doubling = transport, step_doubling
+        setattr(holonomy, name, expm)
     return {k: v / passes for k, v in counts.items()} | {"passes": passes, "seed": seed}
+
+
+def peak_traced_bytes(holonomy, lie_core):
+    import numpy as np
+
+    cat = holonomy.builtin_catalogue()
+    ctx = lie_core.build_algebra(3)
+    rng = np.random.default_rng(SEED)
+    x1s = np.array([ctx.random_compact(rng, 0.12) for _ in range(33)])
+    x2s = np.array([ctx.random_compact(rng, 0.12) for _ in range(33)])
+    jobs = {"double_wind_b33_n3": (x1s, x2s, [cat.contours["double_wind"]]),
+            "ten_paths_b1_n3": (x1s[:1], x2s[:1], list(cat.contours.values())[:10])}
+    out = {}
+    for name, (a, b, paths) in jobs.items():
+        holonomy._transport(a, b, 1.0, paths, 1e-10)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        holonomy._transport(a, b, 1.0, paths, 1e-10)
+        out[name] = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.stop()
+    return out
 
 
 def main():
@@ -134,6 +166,7 @@ def main():
         "src_loc": loc,
         "expm_us_per_matrix": expm_timings(lie_core),
         "goldman_per_pass": goldman_counts(holonomy, SEED, PASSES),
+        "peak_traced_bytes": peak_traced_bytes(holonomy, lie_core),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),
                         "blas_threads": 1},

@@ -5,15 +5,13 @@ Connections have the form ``A(z) = s (X1/(z-1) + X2/(z+1)) dz`` with
 anti-Hermitian residues and ``s = t/pi``; the residue at infinity is
 ``X3 = -(X1+X2)``.  Transport solves ``dPsi = -A(z(s)) z'(s) Psi`` along each
 segment by adaptive panels: a panel's propagator is ``expm(Omega)`` with
-``Omega`` the sixth-order Magnus exponent from three Gauss-Legendre nodes.
-Since ``A`` is a scalar combination of ``X1`` and ``X2``, every ``Omega`` is a
-combination of ten fixed brackets of the residues, and the exponentials of a
-whole stack of panels and connections are evaluated together.  Panels are
-refined by step doubling until the error per unit parameter length is at most
-``tol``; one refinement loop serves every segment of every path of a call,
-so a round's panels from all of them share one exponential stack.
-``Omega`` is traceless, so holonomies have unit determinant up to rounding,
-and constant gauge transformations conjugate them.
+``Omega`` the sixth-order Magnus exponent from three Gauss-Legendre nodes, a
+combination of ten fixed brackets of the residues.  Panels are refined by step
+doubling until the error per unit parameter length is at most ``tol``, in one
+loop over every segment of every path of a call whose rounds each exponentiate
+a budget of matrices in one stack; each path's resolved panels are folded in as
+product trees.  ``Omega`` is traceless, so holonomies have unit determinant up
+to rounding, and constant gauge transformations conjugate them.
 
 Orientation conventions, fixed by the spectral targets: the catalogue hole
 loops around +1 and -1 run clockwise and the outer loop counterclockwise,
@@ -24,14 +22,14 @@ and makes the catalogue-order word ``gamma1 gamma2 gamma3`` contractible.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from operator import itemgetter
+from functools import reduce
 
 import numpy as np
 
 from ._serialize import is_number
 from .errors import (ConstraintViolated, GeometryError, PoleTooClose,
                      SchemaError, SpectralMismatch, ToleranceNotMet)
-from .lie_core import _expm
+from .lie_core import _expm_stack, _stack_product
 
 __all__ = [
     "LineSegment",
@@ -282,9 +280,8 @@ _MAGNUS_W = np.array([[0.0, 1.0, 0.0],
 # a step-doubling estimate at or below this is rounding noise: the panel is resolved
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 _MIN_PANEL = 1e-12
-# matrices per exponential stack, and panels per round (each panel evaluation
-# also holds about 0.7 KB of Magnus coefficients): they bound the memory of a round
-_CHUNK, _MAX_PANELS = 768, 64
+# matrices exponentiated per round and propagators held unfolded: the memory of a transport
+_CHUNK = 1536
 
 
 def _bracket_basis(x1s, x2s):
@@ -313,7 +310,7 @@ def _omega_coefficients(p, q):
 
 
 def _magnus_propagators(segs, g, s0, h, basis, scale):
-    """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of ``segs[g_i]``, ``(P, B, n, n)``."""
+    """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of ``segs[g_i]``, ``(n, n, B, P)``."""
     s = s0[:, None] + h[:, None] * _GL_NODES
     z, dz = np.empty(s.shape, complex), np.empty(s.shape, complex)
     for k in set(g.tolist()):  # not np.unique, which imports numpy.ma
@@ -321,86 +318,113 @@ def _magnus_propagators(segs, g, s0, h, basis, scale):
         z[on], dz[on] = segs[k].z(s[on]), segs[k].dz(s[on])
     w = (-scale) * dz * h[:, None]
     coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
-    omega = (coef @ basis.reshape(len(basis), -1)).reshape((len(s0),) + basis.shape[1:])
-    if not np.isfinite(omega).all():
-        raise ToleranceNotMet("non-finite transport state")
-    return _expm(omega)
+    omega, n = basis.transpose(2, 3, 1, 0).reshape(-1, len(basis)) @ coef.T, basis.shape[-1]
+    del s, z, dz, w, coef  # before the exponential takes its stack-sized temporaries
+    if not (finite := np.isfinite(omega).all(axis=0)).all():  # the segment goes with the error
+        raise ToleranceNotMet("non-finite transport state", g[np.argmin(finite)])
+    return _expm_stack(omega.reshape(n, n, -1)).reshape(n, n, -1, len(s0))
 
 
-def _step_doubling(segs, g, s0, h, basis, scale):
-    """Propagators of the panels as the product of their halves, and their errors.
+def _step_doubling(segs, g, s0, h, known, prior, basis, scale):
+    """Products of the panels' halves, the halves ``(n, n, B, 2P)``, and the step-doubling errors.
 
-    The error of a panel is the largest entry of the difference between the
-    one-panel and the two-half propagator over the batch, relative to the
-    larger of the two, so it is at most 2.
-    """
-    m = len(s0)
+    Panels marked ``known`` take their one-panel propagators from ``prior``.  An error is the
+    largest entry of |two-half - one-panel| over the batch over the larger of the two, at most 2."""
+    m, fresh = len(s0), ~known
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _magnus_propagators(segs, np.tile(g, 3), np.concatenate([s0, s0, s0 + h / 2]),
-                                np.concatenate([h, h / 2, h / 2]), basis, scale)
-        half = e[2 * m:] @ e[m:2 * m]
-        size = np.maximum(np.abs(half).max(axis=(1, 2, 3)), np.abs(e[:m]).max(axis=(1, 2, 3)))
-        err = np.abs(half - e[:m]).max(axis=(1, 2, 3)) / np.maximum(1.0, size)
+        e = _magnus_propagators(segs, np.concatenate([g, g, g[fresh]]),
+                                np.concatenate([s0, s0 + h / 2, s0[fresh]]),
+                                np.concatenate([h / 2, h / 2, h[fresh]]), basis, scale)
+        one = np.empty_like(e[..., :m])
+        one[..., fresh], one[..., known] = e[..., 2 * m:], prior
+        prod = _stack_product(e[..., m:2 * m], e[..., :m], np.empty_like(one))
+        size = np.maximum(np.abs(prod).max(axis=(0, 1, 2)), np.abs(one).max(axis=(0, 1, 2)))
+        err = np.abs(prod - one).max(axis=(0, 1, 2)) / np.maximum(1.0, size)
     # a panel too coarse for its exponential to be finite is as unresolved as can be
-    return half, np.where(np.isfinite(err), err, 2.0)
+    return prod, e[..., :2 * m], np.where(np.isfinite(err), err, 2.0)
+
+
+def _tree_product(props, runs):
+    """Product of each run of equal adjacent ``runs`` in a stack ``(n, n, ..., m)`` (overwritten)
+    as a pairwise product tree, the run's first matrix rightmost: ``(n, n, ..., runs)``."""
+    while (same := runs[1:] == runs[:-1]).any():
+        i = np.arange(len(runs))
+        lead = (i - np.maximum.accumulate(np.where(np.append(True, ~same), i, 0))) % 2 == 0
+        pair = np.flatnonzero(lead & np.append(same, False))  # even places with a successor
+        props[..., pair] = _stack_product(props[..., pair + 1], (a := props[..., pair]),
+                                          np.empty_like(a))
+        props, runs = props[..., lead], runs[lead]
+    return props
 
 
 def _transport(x1s, x2s, scale, paths, tol):
     """Transports of the residue stacks ``(B, n, n)`` along each path, ``(len(paths), B, n, n)``.
 
-    A path is a ``Contour`` or a segment list.  One adaptive loop serves
-    every segment of every path.  Its panel table holds each unresolved
-    panel as a (segment, start, width) row in path order; each round
-    compares the next panels with their two halves (step doubling) in one
-    batch and keeps the halves.  Panels are shared by the stack, so the error
-    is the maximum over it.  A panel whose error exceeds ``tol * h`` is split
-    into ``ceil((err / (tol h))^(1/6))`` parts, since the local error of the
-    sixth-order step scales as ``h^7``.  Each round folds every path's
-    resolved prefix into its transport, one panel after another in path
-    order, so few propagators are held at a time.  Overflow ends the
+    A path is a ``Contour`` (errors name it so) or a segment list (``path i``).  One table
+    holds every unresolved panel of every path as a (segment, start, width) row in path
+    order.  Each round compares its next panels, up to ``_CHUNK`` exponentiated matrices,
+    with their two halves; the error is the maximum over the stack.  A panel whose error
+    exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))`` parts (the local
+    error scales as ``h^7``), and parts of a panel split in two reuse its halves.  Resolved
+    panels are held until they make ``_CHUNK`` matrices or the table empties, then each
+    path's resolved prefix is folded in as one product tree.  Overflow at a fold ends the
     transport, which bounds the work any input can cause.
     """
+    names = [p.name if isinstance(p, Contour) else f"path {i}" for i, p in enumerate(paths)]
     paths = [p.segments if isinstance(p, Contour) else list(p) for p in paths]
     segs = [seg for path in paths for seg in path]
-    for seg in segs:
+    owner = np.array([i for i, path in enumerate(paths) for _ in path], dtype=int)
+    for q, seg in enumerate(segs):
         if (d := seg.pole_distance()) < 0.9 * POLE_MARGIN:
-            raise PoleTooClose(f"segment from {seg.z(0.0):.4f} passes {d:.4f} "
-                               f"from a pole (margin {POLE_MARGIN})")
+            raise PoleTooClose(f"{names[owner[q]]}: segment from {seg.z(0.0):.4f} passes "
+                               f"{d:.4f} from a pole (margin {POLE_MARGIN})")
     basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
-    per_call = max(1, min(_MAX_PANELS, _CHUNK // (3 * basis.shape[1])))
-    owner = [i for i, path in enumerate(paths) for _ in path]
-    psi = np.tile(np.eye(basis.shape[-1], dtype=complex), (len(paths), basis.shape[1], 1, 1))
+    n, stack = basis.shape[-1], basis.shape[1]
+    psi = np.tile(np.eye(n, dtype=complex)[:, :, None, None], (1, 1, stack, len(paths)))
     g, s0, h = np.arange(len(segs)), np.zeros(len(segs)), np.ones(len(segs))
-    held = []  # resolved panels (segment, start, propagator) not yet folded
+    has, store = np.zeros(len(segs), bool), psi[..., :0]  # rows holding a one-panel propagator
+    held = []  # resolved (segments, starts, propagators) not yet folded
     while len(g):
-        k = min(per_call, len(g))
-        props, err = _step_doubling(segs, g[:k], s0[:k], h[:k], basis, scale)
-        goal = np.maximum(tol * h[:k], _ROUNDOFF)
-        ok = err <= goal
-        held += zip(g[:k][ok].tolist(), s0[:k][ok].tolist(), props[ok])
+        k = max(1, np.searchsorted(np.cumsum(3 - has) * stack, _CHUNK, "right"))
+        c = has[:k].sum()
+        try:
+            props, halves, err = _step_doubling(segs, g[:k], s0[:k], h[:k], has[:k],
+                                                store[..., :c], basis, scale)
+        except ToleranceNotMet as exc:
+            raise ToleranceNotMet(f"{names[owner[exc.args[1]]]}: {exc.args[0]}") from None
+        ok = err <= (goal := np.maximum(tol * h[:k], _ROUNDOFF))
+        held.append((g[:k][ok], s0[:k][ok], props[..., ok]))
         # a rejected panel is replaced by its parts, a resolved one leaves the table
         parts = np.where(ok, 0, np.maximum(2, np.ceil((err / goal) ** (1.0 / 6.0))).astype(int))
         w = h[:k] / np.maximum(parts, 1)
-        if (w[~ok] < _MIN_PANEL).any():
-            raise ToleranceNotMet("adaptive panel width underflow")
+        if (thin := ~ok & (w < _MIN_PANEL)).any():
+            raise ToleranceNotMet(names[owner[g[thin.argmax()]]] + ": adaptive panel width underflow")
         j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+        two = parts == 2  # the halves of a panel split in two go to its parts
+        store = np.concatenate([halves[..., (np.flatnonzero(two) + [[0], [k]]).T.ravel()],
+                                store[..., c:]], axis=-1)
+        has = np.append(np.repeat(two, parts), has[k:])
         g, s0, h = (np.concatenate([np.repeat(g[:k], parts), g[k:]]),
                     np.concatenate([np.repeat(s0[:k], parts) + j * np.repeat(w, parts), s0[k:]]),
                     np.concatenate([np.repeat(w, parts), h[k:]]))
-        # a resolved panel is folded once no unresolved panel precedes it on its path
-        front = {owner[q]: (q, start) for q, start in zip(g[::-1].tolist(), s0[::-1].tolist())}
-        held.sort(key=itemgetter(0, 1))
-        waiting = []
+        del props, halves  # a fold may take as much memory again
+        if len(g) and sum(len(q) for q, _, _ in held) * stack < _CHUNK:
+            continue
+        # fold the held panels before their path's front, its first table row (past the end if none)
+        hg, hs, hp = (np.concatenate(col, axis=-1) for col in zip(*held))
+        first = np.flatnonzero(np.diff(owner[g], prepend=-1))
+        fg, fs = np.full(len(paths), len(segs)), np.zeros(len(paths))
+        fg[owner[g[first]]], fs[owner[g[first]]] = g[first], s0[first]
+        ready = (hg < fg[ho := owner[hg]]) | ((hg == fg[ho]) & (hs < fs[ho]))
+        order = np.flatnonzero(ready)[np.lexsort((hs[ready], hg[ready]))]
+        held, runs = [(hg[~ready], hs[~ready], hp[..., ~ready])], ho[order]
+        on = runs[np.flatnonzero(np.diff(runs, prepend=-1))]
         with np.errstate(over="ignore", invalid="ignore"):
-            for q, start, prop in held:
-                if (q, start) < front.get(owner[q], (np.inf,)):
-                    psi[owner[q]] = prop @ psi[owner[q]]
-                else:
-                    waiting.append((q, start, prop))
-        held = waiting
-        if not np.isfinite(psi).all():
-            raise ToleranceNotMet("holonomy overflows")
-    return psi
+            tree = _tree_product(hp[..., order], runs)
+            psi[..., on] = _stack_product(tree, psi[..., on], np.empty_like(tree))
+        if not (finite := np.isfinite(psi[..., on]).all(axis=(0, 1, 2))).all():
+            raise ToleranceNotMet(f"{names[on[np.argmin(finite)]]}: holonomy overflows")
+    return np.ascontiguousarray(psi.transpose(3, 2, 0, 1))
 
 
 def _holonomies(conn, paths, tol):
@@ -466,14 +490,8 @@ def rebased_holonomies(conn, segments, cuts, tol=1e-10):
 def _rebased(pieces, cuts):
     """The loop re-based at each cut from the holonomies of the pieces ``_cut`` gives."""
     hols, marks = list(pieces), sorted(cuts)
-    out = []
-    for c in cuts:
-        j = marks.index(c) + 1
-        h = hols[j]
-        for m in hols[j + 1:] + hols[:j]:
-            h = m @ h
-        out.append(h)
-    return out
+    rotations = [hols[j:] + hols[:j] for j in (marks.index(c) + 1 for c in cuts)]
+    return [reduce(lambda h, m: m @ h, loop) for loop in rotations]
 
 
 # ---------------------------------------------------------------------------

@@ -116,17 +116,23 @@ def _expm(a):
     operations over all ``M`` matrices.
     """
     shape, n = np.shape(a), np.shape(a)[-1]
-    x = np.ascontiguousarray(np.reshape(a, (-1, n, n)).transpose(1, 2, 0))
-    norm = np.abs(x).sum(axis=0).max(axis=0)
+    r = _expm_stack(np.reshape(a, (-1, n, n)).transpose(1, 2, 0).copy())  # (n, n, M)
+    return np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(shape)
+
+
+def _expm_stack(x):
+    """``_expm`` of a contiguous ``(n, n, M)`` stack, scaled in place; a view in that layout."""
+    n, norm = len(x), np.abs(x).sum(axis=0).max(axis=0)
     top = norm.max(initial=0.0)
     theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
     s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
     if s.any():
-        x = x * 0.5 ** s
-    # few stack-sized arrays alive at once: less heap to return and fault in again
-    tmp, ident = np.empty_like(x), np.eye(n)[:, :, None]
+        x *= 0.5 ** s
+    # few stack-sized arrays alive at once: the odd and even parts are built in [P | Q]
+    tmp, aug, diag = np.empty_like(x), np.empty((n, 2 * n) + x.shape[2:], x.dtype), np.arange(n)
     x2 = _stack_product(x, x, tmp)
-    even, odd = b[0] * ident + b[2] * x2, b[1] * ident + b[3] * x2
+    odd, even = np.multiply(x2, b[3], out=aug[:, :n]), np.multiply(x2, b[2], out=aug[:, n:])
+    odd[diag, diag], even[diag, diag] = odd[diag, diag] + b[1], even[diag, diag] + b[0]
     power = x2
     for j in range(4, len(b), 2):
         power = _stack_product(power, x2, tmp)
@@ -134,14 +140,15 @@ def _expm(a):
         odd += np.multiply(power, b[j + 1], out=tmp)
     del x2, power
     u = _stack_product(x, odd, tmp)
-    aug = np.concatenate([np.subtract(even, u, out=tmp), np.add(even, u, out=even)], axis=1)
-    del tmp, even, odd, u
+    np.subtract(even, u, out=odd)
+    even += u
+    del x, tmp, u
     r = _stack_solve(aug)
     for k in range(int(s.max(initial=0))):
         sq = s > k
         rs = r[..., sq]
         r[..., sq] = _stack_product(rs, rs, np.empty_like(rs))
-    return np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(shape)
+    return r
 
 
 class AlgebraContext:

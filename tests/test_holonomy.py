@@ -136,13 +136,76 @@ def test_integrator_order():
     def uniform(m):
         psi = np.eye(3, dtype=complex)
         for seg in eight.segments:
-            for e in _magnus_propagators([seg], np.zeros(m, int), np.arange(m) / m,
-                                         np.full(m, 1.0 / m), basis, conn.scale):
-                psi = e[0] @ psi
+            e = _magnus_propagators([seg], np.zeros(m, int), np.arange(m) / m,
+                                    np.full(m, 1.0 / m), basis, conn.scale)
+            for j in range(m):  # the propagators come as (n, n, B, panels)
+                psi = e[:, :, 0, j] @ psi
         return psi
 
     coarse, fine = (np.linalg.norm(uniform(m) - ref) for m in (32, 64))
     assert coarse / fine > 40
+
+
+def test_tree_product_matches_left_fold():
+    """The pairwise product tree equals the path-ordered product, first factor rightmost."""
+    from trinion.holonomy import _tree_product
+
+    rng = np.random.default_rng(23)
+
+    def left_fold(mats):  # (m, 2, n, n), first factor applied first
+        out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape[1:]).astype(complex)
+        for m in mats:
+            out = m @ out
+        return out
+
+    for n in (2, 3):
+        for m in list(range(1, 10)) + [31, 32, 33, 64, 69, 70]:
+            z = rng.normal(size=(m, 2, n, n)) + 1j * rng.normal(size=(m, 2, n, n))
+            mats = np.eye(n) + 0.05 * z
+            got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.zeros(m, int))
+            want = left_fold(mats)
+            assert got.shape == (n, n, 2, 1)
+            err = np.linalg.norm(got[..., 0].transpose(2, 0, 1) - want)
+            assert err <= 1e-14 * np.linalg.norm(want)
+        # runs of equal labels multiply separately
+        sizes = [1, 2, 5, 8, 1, 13, 4]
+        mats = np.eye(n) + 0.05 * (rng.normal(size=(sum(sizes), 2, n, n))
+                                   + 1j * rng.normal(size=(sum(sizes), 2, n, n)))
+        got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.repeat(np.arange(7), sizes))
+        bounds = np.cumsum([0] + sizes)
+        for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            want = left_fold(mats[a:b])
+            err = np.linalg.norm(got[..., r].transpose(2, 0, 1) - want)
+            assert err <= 1e-14 * np.linalg.norm(want)
+
+
+def test_round_budget_invariance(monkeypatch):
+    """Rounds of a few panels, folded every few panels, give the default transports.
+
+    With a budget of 12 matrices a transport of one connection refines four
+    to six panels a round, so resolved panels wait behind rejected ones, and
+    folds every twelve resolved panels; a 33-connection stack refines one
+    panel a round and folds after each round that resolves one.
+    """
+    module = importlib.import_module("trinion.holonomy")
+    rng = np.random.default_rng(31)
+    conns = {n: RationalConnection(X1=ctx.random_compact(rng, 0.3),
+                                   X2=ctx.random_compact(rng, 0.3), scale=1.0)
+             for n, ctx in ((2, CTX2), (3, CTX3))}
+    x1s = np.array([CTX3.random_compact(rng, 0.12) for _ in range(33)])
+    x2s = np.array([CTX3.random_compact(rng, 0.12) for _ in range(33)])
+    contours = list(CAT.contours.values())
+    assert len(contours) == 13
+
+    def transports():
+        hols = [holonomy(conns[n], c, tol) for n in (2, 3) for tol in (1e-10, 1e-12)
+                for c in contours]
+        return hols + list(holonomy_batch(x1s, x2s, 1.0, CAT.contours["double_wind"], 1e-10))
+
+    default = transports()
+    monkeypatch.setattr(module, "_CHUNK", 12)
+    for got, want in zip(transports(), default):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_su2_trace_oracle():
@@ -253,28 +316,30 @@ def test_pole_too_close(monkeypatch):
         raise AssertionError("a panel was evaluated before the pole check")
 
     monkeypatch.setattr(importlib.import_module("trinion.holonomy"), "_step_doubling", no_panels)
-    with pytest.raises(PoleTooClose):
+    # the error names the path: a Contour by its name, a segment list by its place in the call
+    with pytest.raises(PoleTooClose, match="^path 0: segment from 1.0500"):
         holonomy(conn, [LineSegment(1.05, 2.0)])
     # starts 0.98 from the poles but passes 0.02 from +1 halfway along
-    with pytest.raises(PoleTooClose):
+    with pytest.raises(PoleTooClose, match="^path 0: segment from "):
         holonomy(conn, [ArcSegment(0.0, 0.98, np.pi / 2, -np.pi / 2)])
-    with pytest.raises(PoleTooClose):
+    with pytest.raises(PoleTooClose, match="^path 0: segment from "):
         holonomy_batch(x[None], np.zeros((1, 2, 2)), 1.0,
                        [ArcSegment(0.0, 0.98, np.pi / 2, -np.pi / 2)])
     # only the last segment of the path is too close
     close = [LineSegment(0.0, 0.5), LineSegment(0.5, 0.95)]
-    with pytest.raises(PoleTooClose):
+    with pytest.raises(PoleTooClose, match="^path 0: segment from 0.5000"):
         holonomy(conn, close)
-    with pytest.raises(PoleTooClose):
+    # the second of the two pieces holds the close segment
+    with pytest.raises(PoleTooClose, match="^path 1: segment from 0.5000"):
         rebased_holonomies(conn, close, [(0, 0.5)])
-    with pytest.raises(PoleTooClose):
+    with pytest.raises(PoleTooClose, match="^close: segment from 0.5000"):
         sigma_check(conn, Contour(name="close", word=(), segments=close))
 
 
 def test_unreachable_tolerance_raises():
     """Inputs the transport cannot resolve raise instead of running on."""
     nan = RationalConnection(X1=np.full((2, 2), np.nan), X2=np.zeros((2, 2)), scale=1.0)
-    with pytest.raises(ToleranceNotMet):
+    with pytest.raises(ToleranceNotMet, match="^gamma1: non-finite transport state$"):
         holonomy(nan, CAT.contours["gamma1"])
     rng = np.random.default_rng(0)
     huge = RationalConnection(X1=CTX2.random_compact(rng, 1e6),
@@ -284,12 +349,12 @@ def test_unreachable_tolerance_raises():
     # the first segment of gamma1 is transported by a unitary; the turn
     # around +1 then grows by exp(400 pi) and overflows
     steep = RationalConnection(X1=np.diag([200j, -200j]), X2=np.zeros((2, 2)), scale=1.0)
-    with pytest.raises(ToleranceNotMet, match="^holonomy overflows$"):
+    with pytest.raises(ToleranceNotMet, match="^gamma1: holonomy overflows$"):
         holonomy(steep, CAT.contours["gamma1"])
     # 1e13 turns around +1: no panel wider than 1e-12 resolves the second segment
     conn = RationalConnection(X1=CTX2.random_compact(rng, 0.3),
                               X2=CTX2.random_compact(rng, 0.3), scale=1.0)
-    with pytest.raises(ToleranceNotMet, match="^adaptive panel width underflow$"):
+    with pytest.raises(ToleranceNotMet, match="^path 0: adaptive panel width underflow$"):
         holonomy(conn, [LineSegment(0.0, 0.5), ArcSegment(1.0, 0.5, np.pi, np.pi - 2e13 * np.pi)])
 
 
