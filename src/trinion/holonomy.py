@@ -280,7 +280,7 @@ _MAGNUS_W = np.array([[0.0, 1.0, 0.0],
 # a step-doubling estimate at or below this is rounding noise: the panel is resolved
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 _MIN_PANEL = 1e-12
-# matrices exponentiated per round and propagators held unfolded: the memory of a transport
+# matrices per round, plus one per panel for its Magnus data, and propagators held unfolded
 _CHUNK = 1536
 
 
@@ -362,13 +362,13 @@ def _transport(x1s, x2s, scale, paths, tol):
 
     A path is a ``Contour`` (errors name it so) or a segment list (``path i``).  One table
     holds every unresolved panel of every path as a (segment, start, width) row in path
-    order.  Each round compares its next panels, up to ``_CHUNK`` exponentiated matrices,
-    with their two halves; the error is the maximum over the stack.  A panel whose error
-    exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))`` parts (the local
-    error scales as ``h^7``), and parts of a panel split in two reuse its halves.  Resolved
-    panels are held until they make ``_CHUNK`` matrices or the table empties, then each
-    path's resolved prefix is folded in as one product tree.  Overflow at a fold ends the
-    transport, which bounds the work any input can cause.
+    order.  Each round compares its next panels, up to ``_CHUNK`` matrices (one more per
+    panel for its Magnus data), with their two halves; the error is the maximum over the
+    stack.  A panel whose error exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))``
+    parts (the local error scales as ``h^7``); parts of a panel split in two reuse its
+    halves.  Resolved panels are held until they make ``_CHUNK`` matrices or the table
+    empties, then each path's resolved prefix is folded in as one product tree.  Overflow
+    at a fold ends the transport, which bounds the work any input can cause.
     """
     names = [p.name if isinstance(p, Contour) else f"path {i}" for i, p in enumerate(paths)]
     paths = [p.segments if isinstance(p, Contour) else list(p) for p in paths]
@@ -385,7 +385,7 @@ def _transport(x1s, x2s, scale, paths, tol):
     has, store = np.zeros(len(segs), bool), psi[..., :0]  # rows holding a one-panel propagator
     held = []  # resolved (segments, starts, propagators) not yet folded
     while len(g):
-        k = max(1, np.searchsorted(np.cumsum(3 - has) * stack, _CHUNK, "right"))
+        k = max(1, np.searchsorted(np.cumsum(3 - has) * (stack + 1), _CHUNK, "right"))
         c = has[:k].sum()
         try:
             props, halves, err = _step_doubling(segs, g[:k], s0[:k], h[:k], has[:k],

@@ -182,10 +182,10 @@ def test_tree_product_matches_left_fold():
 def test_round_budget_invariance(monkeypatch):
     """Rounds of a few panels, folded every few panels, give the default transports.
 
-    With a budget of 12 matrices a transport of one connection refines four
-    to six panels a round, so resolved panels wait behind rejected ones, and
-    folds every twelve resolved panels; a 33-connection stack refines one
-    panel a round and folds after each round that resolves one.
+    With a budget of 18 matrices a transport of one connection refines three
+    or four panels a round, so resolved panels wait behind rejected ones,
+    and folds every eighteen resolved panels; a 33-connection stack refines
+    one panel a round and folds after each round that resolves one.
     """
     module = importlib.import_module("trinion.holonomy")
     rng = np.random.default_rng(31)
@@ -203,7 +203,7 @@ def test_round_budget_invariance(monkeypatch):
         return hols + list(holonomy_batch(x1s, x2s, 1.0, CAT.contours["double_wind"], 1e-10))
 
     default = transports()
-    monkeypatch.setattr(module, "_CHUNK", 12)
+    monkeypatch.setattr(module, "_CHUNK", 18)
     for got, want in zip(transports(), default):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
