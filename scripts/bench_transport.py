@@ -88,10 +88,9 @@ def goldman_counts(holonomy, seed, passes):
 
     counts = {"step_doubling_calls": 0, "expm_matrices": 0, "accepted_panels": 0}
     tols = []
-    # the transport exponentiates (..., n, n) stacks through _expm, or (n, n, M) ones
-    name = "_expm_stack" if hasattr(holonomy, "_expm_stack") else "_expm"
+    # the transport exponentiates (n, n, M) stacks through _expm_stack
     transport, step_doubling, expm = (holonomy._transport, holonomy._step_doubling,
-                                      getattr(holonomy, name))
+                                      holonomy._expm_stack)
 
     def counted_transport(*args):
         tols.append(args[-1])
@@ -108,12 +107,12 @@ def goldman_counts(holonomy, seed, passes):
         return out
 
     def counted_expm(a):
-        counts["expm_matrices"] += a.size // a.shape[0 if name == "_expm_stack" else -1] ** 2
+        counts["expm_matrices"] += a.size // a.shape[0] ** 2
         return expm(a)
 
     holonomy._transport = counted_transport
     holonomy._step_doubling = counted_step_doubling
-    setattr(holonomy, name, counted_expm)
+    holonomy._expm_stack = counted_expm
     try:
         env = workloads.build_context()
         for i in range(passes):
@@ -122,7 +121,7 @@ def goldman_counts(holonomy, seed, passes):
                     raise SystemExit(f"bench_transport: a check of {call.label} failed")
     finally:
         holonomy._transport, holonomy._step_doubling = transport, step_doubling
-        setattr(holonomy, name, expm)
+        holonomy._expm_stack = expm
     return {k: v / passes for k, v in counts.items()} | {"passes": passes, "seed": seed}
 
 

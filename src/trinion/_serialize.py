@@ -47,8 +47,8 @@ def solution_to_json(sol):
     out = {
         "kind": sol.kind,
         "theta": [list(p.H.theta) for p in sol.points],
-        "t": getattr(sol, "t", 0.0),
-        "u": None if getattr(sol, "u", None) is None else np.asarray(sol.u).tolist(),
+        "t": sol.t,
+        "u": None if sol.u is None else np.asarray(sol.u).tolist(),
         "residual": sol.residual,
         "regularity_rank": sol.regularity_rank,
         "trial": sol.trial,

@@ -36,7 +36,6 @@ __all__ = [
     "moment_maps",
     "sklyanin_eval",
     "group_gradients",
-    "kstar_from_matrix",
 ]
 
 _TRI_TOL = 1e-12
@@ -52,19 +51,19 @@ def _theta_twist(ctx, u, theta):
 
 @dataclass
 class KStarElement:
-    """Element of the twisted dual group, or a stack of them: upper triangular, det 1."""
+    """Element of the twisted dual group, or a stack of them: upper triangular, det 1, complex."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         low = np.max(np.abs(np.tril(m, -1)), axis=(-2, -1))  # per matrix; fmax ignores NaN like max()
         if np.any(low > _TRI_TOL * np.fmax(1.0, np.max(np.abs(m), axis=(-2, -1)))):
             raise InvalidSK("matrix has entries below the diagonal")
         self.matrix = m
 
-    def inverse(self, ctx):
-        return kstar_from_matrix(ctx, np.linalg.inv(self.matrix))
+    def inverse(self):
+        return KStarElement(np.linalg.inv(self.matrix))
 
     def phase_residual(self, ctx, u=None):
         """Deviation of the diagonal phases from the twisted phase condition."""
@@ -72,11 +71,6 @@ class KStarElement:
         want = _theta_twist(ctx, u, -np.log(np.abs(d)))
         have = np.angle(d)
         return float(np.max(np.abs((have - want + np.pi) % (2 * np.pi) - np.pi)))
-
-
-def kstar_from_matrix(ctx, m):
-    """Wrap an upper triangular matrix as a dual-group element."""
-    return KStarElement(matrix=np.asarray(m, dtype=complex))
 
 
 @dataclass
@@ -132,13 +126,13 @@ def _iwasawa_dual(ctx, g, u=None):
 def iwasawa(ctx, g, u=None):
     """Factor ``g = k * kstar`` with k unitary and kstar in the twisted dual group."""
     k, kstar = _iwasawa(ctx, np.asarray(g, dtype=complex), u)
-    return k, kstar_from_matrix(ctx, kstar)
+    return k, KStarElement(kstar)
 
 
 def iwasawa_dual(ctx, g, u=None):
     """Mirrored factorization ``g = kstar * k``."""
     kstar, k = _iwasawa_dual(ctx, np.asarray(g, dtype=complex), u)
-    return kstar_from_matrix(ctx, kstar), k
+    return KStarElement(kstar), k
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,7 @@ def f_inverse(ctx, s, u=None):
     upper = j @ low @ j
     theta = -np.log(np.abs(np.diagonal(upper)))
     phase = _theta_twist(ctx, u, theta)
-    return kstar_from_matrix(ctx, upper * np.exp(1j * phase)[None, :])
+    return KStarElement(upper * np.exp(1j * phase)[None, :])
 
 
 def e_map(ctx, x, t=1.0, u=None):
@@ -203,7 +197,7 @@ def moment_maps(ctx, g, u=None):
     ``m_L(g)`` is the starred-left factor of g and ``m_R(g)`` the inverse of
     the starred-right factor.
     """
-    return iwasawa_dual(ctx, g, u=u)[0], iwasawa(ctx, g, u=u)[1].inverse(ctx)
+    return iwasawa_dual(ctx, g, u=u)[0], iwasawa(ctx, g, u=u)[1].inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class ToleranceNotMet(TrinionError):
     """Adaptive integrator could not reach the requested tolerance."""
 
 
-class SpectralMismatch(TrinionError):
-    """Holonomy spectrum does not match the prescribed conjugacy class."""
-
-
 class EvaluationError(TrinionError):
     """Test function returned a non-finite value."""
 

@@ -27,8 +27,7 @@ from functools import reduce
 import numpy as np
 
 from ._serialize import is_number
-from .errors import (ConstraintViolated, GeometryError, PoleTooClose,
-                     SchemaError, SpectralMismatch, ToleranceNotMet)
+from .errors import ConstraintViolated, GeometryError, PoleTooClose, SchemaError, ToleranceNotMet
 from .lie_core import _expm_stack, _stack_product
 
 __all__ = [
@@ -40,10 +39,7 @@ __all__ = [
     "xi_map",
     "holonomy",
     "holonomy_batch",
-    "rebased_holonomies",
     "hole_conjugacy_check",
-    "sigma_check",
-    "goldman_function",
     "builtin_catalogue",
     "load_catalogue",
     "word_segments",
@@ -52,8 +48,8 @@ __all__ = [
 
 POLES = (1.0, -1.0)
 POLE_MARGIN = 0.1
-_SIGMA_ODE_TOL = 1e-11  # transport tolerance of sigma_check
-_HOLE_SPECTRUM_TOL = 1e-7  # relative spectrum and hyperbolicity bound of hole_conjugacy_check
+_SIGMA_ODE_TOL = 1e-11  # transport tolerance of the reflection check
+_HOLE_SPECTRUM_TOL = 1e-7  # hyperbolicity bound of hole_conjugacy_check
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +473,6 @@ def _cut(segments, cuts):
     return pieces + [piece]
 
 
-def rebased_holonomies(conn, segments, cuts, tol=1e-10):
-    """Holonomies of a closed path re-based at each cut, in the order of ``cuts``.
-
-    The path is cut at every ``(segment index, parameter)`` pair and each
-    piece is transported once; the loop re-based at a cut is the product of
-    the pieces from that cut around to it again.
-    """
-    return _rebased(_holonomies(conn, _cut(segments, cuts), tol), cuts)
-
-
 def _rebased(pieces, cuts):
     """The loop re-based at each cut from the holonomies of the pieces ``_cut`` gives."""
     hols, marks = list(pieces), sorted(cuts)
@@ -503,35 +489,18 @@ def _sigma_residual(h, h_tau):
     return float(np.linalg.norm(h_tau - np.linalg.inv(h.conj().T)))
 
 
-def sigma_check(conn, contour):
-    """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}`` for the reflected path."""
-    return _sigma_residual(*_holonomies(conn, [contour, contour.reflected()], _SIGMA_ODE_TOL))
+def hole_conjugacy_check(hol, H, t):
+    """Spectrum of a hole holonomy against ``exp(2 i t H)``: ``(relative error, hyperbolic)``.
 
-
-def hole_conjugacy_check(hol, j, H, t):
-    """Compare the spectrum of ``hol``, the j-th hole holonomy, with ``exp(2 i t H)``.
-
-    Returns a report dict with the sorted eigenvalues, targets, and maximum
-    relative error; raises ``SpectralMismatch`` beyond ``_HOLE_SPECTRUM_TOL``.  Also
-    checks hyperbolicity (positive real spectrum).
+    The error is the largest relative distance of the sorted real parts of the
+    eigenvalues from the sorted targets.  Hyperbolic means a positive real
+    spectrum: imaginary parts below ``_HOLE_SPECTRUM_TOL`` times the largest modulus.
     """
     ev = np.linalg.eigvals(hol)
     target = np.sort(np.exp(-2.0 * t * np.array(H.theta)))
-    ev_sorted = np.sort(ev.real)
     hyperbolic = bool(np.all(ev.real > 0) and np.max(np.abs(ev.imag))
                       < _HOLE_SPECTRUM_TOL * np.max(np.abs(ev)))
-    rel = float(np.max(np.abs(ev_sorted - target) / target))
-    report = {"hole": j, "eigenvalues": ev_sorted, "target": target,
-              "max_rel_err": rel, "hyperbolic": hyperbolic}
-    if rel > _HOLE_SPECTRUM_TOL or not hyperbolic:
-        raise SpectralMismatch(f"hole {j}: relative error {rel:.2e}, "
-                               f"hyperbolic={hyperbolic}")
-    return report
-
-
-def goldman_function(conn, contour, tol=1e-10):
-    """Trace of the holonomy in the defining representation (gauge invariant)."""
-    return complex(np.trace(holonomy(conn, contour, tol)))
+    return float(np.max(np.abs(np.sort(ev.real) - target) / target)), hyperbolic
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompositions import (KStarElement, _iwasawa_dual, dressing_action, e_map, f_map,
-                             kstar_from_matrix)
+from .decompositions import KStarElement, _iwasawa_dual, dressing_action, e_map, f_map
 from .errors import IllConditioned, NonRegular, ToleranceNotMet
 from .lie_core import CartanVector, _central_differences, _point_value, pair
 
@@ -24,8 +23,6 @@ __all__ = [
     "DressingOrbitPoint",
     "MomentSolution",
     "NoSolution",
-    "orbit_point",
-    "sample_orbit",
     "kk_bracket",
     "diag_coadjoint",
     "diag_dressing",
@@ -85,18 +82,6 @@ class MomentSolution:
     t: float = 0.0
     u: np.ndarray = None
     trial: int = field(default=0, repr=False)
-
-
-def orbit_point(ctx, H, k):
-    """Realize ``Ad_k I(H)`` as an orbit point with witness k."""
-    x = k @ H.matrix @ k.conj().T
-    return OrbitPoint(X=x, H=H, witness=np.asarray(k))
-
-
-def sample_orbit(ctx, H, seed):
-    """Haar-uniform orbit point, deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
-    return orbit_point(ctx, H, ctx.random_unitary(rng))
 
 
 def kk_bracket(ctx, psi1, psi2, P, fd_step=1e-5):
@@ -396,7 +381,7 @@ def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
-    pts = [kstar_from_matrix(ctx, m) for m in residual(ks)[0]]
+    pts = [KStarElement(m) for m in residual(ks)[0]]
     rank = _regularity(ctx, [_dual_log(ctx, p, t) for p in pts])
     out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
            for p, h, k in zip(pts, hs, ks)]
@@ -439,43 +424,33 @@ def gauge_fix(ctx, solution):
 
     The first point is rotated exactly onto ``I(H1)``; the residual torus is
     fixed by making the superdiagonal of the second point real nonnegative.
-    Idempotent; raises ``NonRegular`` when a continuous stabilizer or a
-    vanishing superdiagonal blocks the normal form.
+    Both moves go through the level's diagonal action.  Idempotent; raises
+    ``NonRegular`` when a continuous stabilizer or a vanishing superdiagonal
+    blocks the normal form.
     """
+    t, u = solution.t, solution.u
     if solution.kind == "zero":
-        xs = [p.X for p in solution.points]
-        rank = _regularity(ctx, xs)
-        if rank < ctx.dim_compact:
-            raise NonRegular("positive-dimensional stabilizer at the solution")
-        v = _align_first(ctx, xs[0])
-        xs = [v.conj().T @ x @ v for x in xs]
-        dm = np.diag(_torus_phases(ctx, xs[1]))
-        xs = [dm.conj().T @ x @ dm for x in xs]
-        xs[0] = solution.points[0].H.matrix
-        move = v @ dm
-        pts = [OrbitPoint(X=x, H=p.H,
-                          witness=None if p.witness is None else move.conj().T @ p.witness)
-               for x, p in zip(xs, solution.points)]
-        res = float(np.linalg.norm(ctx.compact_coords(xs[0] + xs[1] + xs[2])))
-        return MomentSolution(kind="zero", points=pts, residual=res,
-                              regularity_rank=rank, trial=solution.trial)
-
-    t = solution.t
-    u = solution.u
-    ys = [_dual_log(ctx, p.kstar, t) for p in solution.points]
+        realize, act = (lambda p: p.X), diag_coadjoint
+    else:
+        realize = lambda p: _dual_log(ctx, p.kstar, t)
+        act = lambda k, pts: diag_dressing(ctx, k, pts, u=u)
+    ys = [realize(p) for p in solution.points]
     rank = _regularity(ctx, ys)
     if rank < ctx.dim_compact:
         raise NonRegular("positive-dimensional stabilizer at the solution")
-    v = _align_first(ctx, ys[0])
-    pts = diag_dressing(ctx, v.conj().T, solution.points, u=u)
-    d = np.diag(_torus_phases(ctx, _dual_log(ctx, pts[1].kstar, t)))
-    pts = diag_dressing(ctx, d.conj().T, pts, u=u)
-    pts[0] = DressingOrbitPoint(kstar=e_map(ctx, pts[0].H.matrix, t, u), H=pts[0].H, t=t,
-                                witness=pts[0].witness)
-    mats = [p.kstar.matrix for p in pts]
-    res = float(np.linalg.norm(mats[0] @ mats[1] @ mats[2] - np.eye(ctx.n)))
-    return MomentSolution(kind="dual", points=pts, residual=res,
-                          regularity_rank=rank, t=t, u=u, trial=solution.trial)
+    pts = act(_align_first(ctx, ys[0]).conj().T, solution.points)
+    pts = act(np.diag(_torus_phases(ctx, realize(pts[1]))).conj().T, pts)
+    h = pts[0].H
+    if solution.kind == "zero":
+        pts[0] = OrbitPoint(X=h.matrix, H=h, witness=pts[0].witness)
+        res = float(np.linalg.norm(ctx.compact_coords(pts[0].X + pts[1].X + pts[2].X)))
+    else:
+        pts[0] = DressingOrbitPoint(kstar=e_map(ctx, h.matrix, t, u), H=h, t=t,
+                                    witness=pts[0].witness)
+        mats = [p.kstar.matrix for p in pts]
+        res = float(np.linalg.norm(mats[0] @ mats[1] @ mats[2] - np.eye(ctx.n)))
+    return MomentSolution(kind=solution.kind, points=pts, residual=res, regularity_rank=rank,
+                          t=t, u=u, trial=solution.trial)
 
 
 def tangent_rank(ctx, solution):

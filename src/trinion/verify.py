@@ -18,9 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .decompositions import (BracketSpace, dressing_action, e_map, f_inverse, f_map,
-                             iwasawa, kstar_from_matrix, sklyanin_eval)
-from .errors import SpectralMismatch
+from .decompositions import (BracketSpace, KStarElement, _theta_twist, dressing_action, e_map,
+                             f_inverse, f_map, iwasawa, sklyanin_eval)
 from .graph_poisson import (chi_map, figure_three, fr_bracket, fr_vs_kstar,
                             goldman_rhs, GraphConnection)
 from .holonomy import (_SIGMA_ODE_TOL, _holonomies, _sigma_residual, _transport,
@@ -68,13 +67,11 @@ def _random_kstar(ctx, rng, u=None):
     n = ctx.n
     theta = rng.normal(0, 0.4, n)
     theta -= theta.mean()
-    from .decompositions import _theta_twist
-
     diag = np.exp(-theta + 1j * _theta_twist(ctx, u, theta))
     m = np.diag(diag).astype(complex)
     z = rng.normal(0, 0.5, (n * (n - 1) // 2, 2))
     m[np.triu_indices(n, 1)] = z[:, 0] + 1j * z[:, 1]
-    return kstar_from_matrix(ctx, m)
+    return KStarElement(m)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +207,9 @@ def suite_xi_geometry(seed=0, ns=(2, 3), count=20):
             hols = _holonomies(xi_map(*sol.points), paths, _SIGMA_ODE_TOL)
             worst_sigma = max(worst_sigma, *map(_sigma_residual, hols[:len(loops)],
                                                 hols[len(loops):]))
-            for j, (hol, p) in enumerate(zip(hols, sol.points), start=1):
-                try:
-                    rep = hole_conjugacy_check(hol, j, p.H, np.pi)
-                    worst_spec = max(worst_spec, rep["max_rel_err"])
-                    hyper_ok = hyper_ok and rep["hyperbolic"]
-                except SpectralMismatch:
-                    hyper_ok = False
-                    worst_spec = np.inf
+            for hol, p in zip(hols, sol.points):
+                rel, hyperbolic = hole_conjugacy_check(hol, p.H, np.pi)
+                worst_spec, hyper_ok = max(worst_spec, rel), hyper_ok and hyperbolic
             prod = hols[2] @ hols[1] @ hols[0]
             worst_prod = max(worst_prod, float(np.linalg.norm(prod - np.eye(n))))
         rec.append(CheckRecord(f"xi.sigma.n{n}", worst_sigma, 1e-9, 0.0))

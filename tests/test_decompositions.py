@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trinion.decompositions import (BracketSpace, dressing_action, e_map, f_inverse,
-                                    f_map, group_gradients, iwasawa, iwasawa_dual,
-                                    kstar_from_matrix, moment_maps, sklyanin_eval)
+from trinion.decompositions import (BracketSpace, KStarElement, dressing_action, e_map,
+                                    f_inverse, f_map, group_gradients, iwasawa, iwasawa_dual,
+                                    moment_maps, sklyanin_eval)
 from trinion.errors import EvaluationError, InvalidSK
 from trinion.lie_core import build_algebra, r_matrix, weyl_normalize
 
@@ -84,11 +84,11 @@ def test_iwasawa_dual_order():
 # ---------------------------------------------------------------------------
 
 def test_f_map_identity_and_diag():
-    ctx = build_algebra(2)
-    ident = kstar_from_matrix(ctx, np.eye(2))
+    ident = KStarElement(np.eye(2))
+    assert ident.matrix.dtype == complex
     assert np.max(np.abs(f_map(ident).matrix - np.eye(2))) == 0.0
     d = 1.7
-    ks = kstar_from_matrix(ctx, np.diag([d, 1 / d]).astype(complex))
+    ks = KStarElement(np.diag([d, 1 / d]).astype(complex))
     s = f_map(ks)
     assert np.max(np.abs(s.matrix - np.diag([d ** 2, 1 / d ** 2]))) < 1e-14
 
@@ -104,7 +104,7 @@ def test_f_roundtrip_random():
 
         m = np.diag(np.exp(-theta + 1j * _theta_twist(ctx, u, theta))).astype(complex)
         m[np.triu_indices(3, 1)] = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
-        ks = kstar_from_matrix(ctx, m)
+        ks = KStarElement(m)
         back = f_inverse(ctx, f_map(ks), u)
         assert np.linalg.norm(back.matrix - ks.matrix) < 1e-11
 
@@ -118,18 +118,17 @@ def test_f_inverse_rejects_non_positive():
 
 
 def test_kstar_check_judges_each_matrix_of_a_stack_on_its_own_scale():
-    ctx = build_algebra(2)
     small = np.array([[1.0, 0.5], [1e-9, 1.0]], dtype=complex)  # 1e-9 > 1e-12 * 1
     large = np.array([[1e4, 1.0], [0.0, 1e-4]], dtype=complex)  # 1e-9 < 1e-12 * 1e4
-    kstar_from_matrix(ctx, np.array([np.eye(2), large]))
+    KStarElement(np.array([np.eye(2), large]))
     for m in (small, np.array([small, large]), np.array([[large, small]])):
         with pytest.raises(InvalidSK):
-            kstar_from_matrix(ctx, m)
+            KStarElement(m)
     large[1, 0] = 1e-9  # below the large matrix's own scale: passes alone
-    kstar_from_matrix(ctx, large)
+    KStarElement(large)
     small[0, 0] = np.nan  # a NaN scale counts as 1, as it always has
     with pytest.raises(InvalidSK):
-        kstar_from_matrix(ctx, small)
+        KStarElement(small)
 
 
 def test_e_map_trivial_cases():
@@ -169,7 +168,7 @@ def test_dressing_trivial():
     assert np.max(np.abs(rho - np.eye(3))) < 1e-13
     assert np.max(np.abs(rho_star.matrix - ks.matrix)) < 1e-13
     k = ctx.random_unitary(RNG)
-    rho, rho_star = dressing_action(ctx, k, kstar_from_matrix(ctx, np.eye(3)))
+    rho, rho_star = dressing_action(ctx, k, KStarElement(np.eye(3)))
     assert np.max(np.abs(rho - k)) < 1e-12
     assert np.max(np.abs(rho_star.matrix - np.eye(3))) < 1e-12
 

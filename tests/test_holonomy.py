@@ -5,12 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from trinion.errors import (ConstraintViolated, GeometryError, PoleTooClose,
-                            SchemaError, SpectralMismatch, ToleranceNotMet)
-from trinion.holonomy import (ArcSegment, Contour, LineSegment, RationalConnection, _cut,
-                              _holonomies, builtin_catalogue, goldman_function,
-                              hole_conjugacy_check, holonomy, holonomy_batch,
-                              load_catalogue, rebased_holonomies,
-                              resolved_segments, sigma_check, word_segments, xi_map)
+                            SchemaError, ToleranceNotMet)
+from trinion.holonomy import (_SIGMA_ODE_TOL, ArcSegment, Contour, LineSegment,
+                              RationalConnection, _cut, _holonomies, _rebased, _sigma_residual,
+                              builtin_catalogue, hole_conjugacy_check, holonomy, holonomy_batch,
+                              load_catalogue, resolved_segments, word_segments, xi_map)
 from trinion.lie_core import build_algebra, weyl_normalize
 from trinion.orbits import solve_moment_zero
 
@@ -260,7 +259,8 @@ def test_batch_matches_single_and_rebased_pieces():
         for segs, cuts in cut_sets:
             pieces, marks = _cut(segs, cuts), sorted(cuts)
             alone = [holonomy(cn, piece, 1e-11) for piece in pieces]
-            for cut, reb in zip(cuts, rebased_holonomies(cn, segs, cuts, 1e-11)):
+            rebased = _rebased(_holonomies(cn, pieces, 1e-11), cuts)
+            for cut, reb in zip(cuts, rebased):
                 j = marks.index(cut) + 1
                 rotated = [s for piece in pieces[j:] + pieces[:j] for s in piece]
                 assert np.linalg.norm(reb - holonomy(cn, rotated, 1e-11)) < 1e-9
@@ -331,9 +331,9 @@ def test_pole_too_close(monkeypatch):
         holonomy(conn, close)
     # the second of the two pieces holds the close segment
     with pytest.raises(PoleTooClose, match="^path 1: segment from 0.5000"):
-        rebased_holonomies(conn, close, [(0, 0.5)])
+        _holonomies(conn, _cut(close, [(0, 0.5)]), 1e-10)
     with pytest.raises(PoleTooClose, match="^close: segment from 0.5000"):
-        sigma_check(conn, Contour(name="close", word=(), segments=close))
+        sigma_residual(conn, Contour(name="close", word=(), segments=close))
 
 
 def test_unreachable_tolerance_raises():
@@ -362,49 +362,71 @@ def test_unreachable_tolerance_raises():
 # spectral and reflection checks
 # ---------------------------------------------------------------------------
 
+def sigma_residual(conn, contour):
+    """Residual of ``Hol(tau(c)) = bar(Hol(c))^{-1}``, as ``suite_xi_geometry`` takes it."""
+    return _sigma_residual(*_holonomies(conn, [contour, contour.reflected()], _SIGMA_ODE_TOL))
+
+
 def test_hole_conjugacy_trivial_and_su2():
     conn = xi_map(np.zeros((2, 2)), np.zeros((2, 2)), None)
     hol = holonomy(conn, CAT.contours["gamma1"])
-    rep = hole_conjugacy_check(hol, 1, weyl_normalize([0.0 + 1e-9, -1e-9]), 0.0)
-    assert np.max(np.abs(rep["eigenvalues"] - 1.0)) < 1e-9
+    rel, hyperbolic = hole_conjugacy_check(hol, weyl_normalize([0.0 + 1e-9, -1e-9]), 0.0)
+    assert np.max(np.abs(np.sort(np.linalg.eigvals(hol).real) - 1.0)) < 1e-9
+    assert rel < 1e-9 and hyperbolic
 
     sol, h = su2_triple()
     conn = xi_map(*sol.points, t=np.pi)
-    rep = hole_conjugacy_check(holonomy(conn, CAT.contours["gamma1"]), 1, h, np.pi)
+    hol = holonomy(conn, CAT.contours["gamma1"])
+    rel, hyperbolic = hole_conjugacy_check(hol, h, np.pi)
     want = np.sort([np.exp(-0.6 * np.pi), np.exp(0.6 * np.pi)])
-    assert np.max(np.abs(rep["eigenvalues"] - want)) < 1e-7
-    assert rep["hyperbolic"]
+    assert np.max(np.abs(np.sort(np.linalg.eigvals(hol).real) - want)) < 1e-7
+    assert rel < 1e-7
+    assert hyperbolic
 
 
 def test_hole_conjugacy_mismatch_raises():
+    """A wrong class shows in the returned error; the spectrum stays hyperbolic."""
     sol, h = su2_triple()
     conn = xi_map(*sol.points, t=np.pi)
     wrong = weyl_normalize([0.5, -0.5])
-    with pytest.raises(SpectralMismatch):
-        hole_conjugacy_check(holonomy(conn, CAT.contours["gamma1"]), 1, wrong, np.pi)
+    rel, hyperbolic = hole_conjugacy_check(holonomy(conn, CAT.contours["gamma1"]), wrong, np.pi)
+    assert rel > 1e-7
+    assert hyperbolic
+
+
+def test_xi_records_split_spectrum_and_hyperbolicity(monkeypatch):
+    """A spectrum off its class fails only xi.hole_spectra, a non-hyperbolic one only
+    xi.hyperbolic."""
+    verify = importlib.import_module("trinion.verify")
+    for result, failing in (((0.5, True), "xi.hole_spectra.n2"),
+                            ((0.0, False), "xi.hyperbolic.n2")):
+        monkeypatch.setattr(verify, "hole_conjugacy_check", lambda hol, H, t, out=result: out)
+        records = verify.suite_xi_geometry(ns=(2,), count=1)
+        assert [r.name for r in records if not r.status] == [failing]
 
 
 def test_sigma_check_and_negative_control():
     sol, _ = su2_triple(seed=3)
     conn = xi_map(*sol.points, t=np.pi)
     for name in ("gamma1", "gamma2", "gamma3", "eight_narrow", "circle_both"):
-        assert sigma_check(conn, CAT.contours[name]) <= 1e-9
+        assert sigma_residual(conn, CAT.contours[name]) <= 1e-9
     broken = RationalConnection(X1=np.diag([0.3, -0.3]).astype(complex),
                                 X2=sol.points[1].X, scale=1.0)
-    assert sigma_check(broken, CAT.contours["gamma1"]) > 1e-3
+    assert sigma_residual(broken, CAT.contours["gamma1"]) > 1e-3
 
 
 def test_goldman_function_invariance():
+    """The trace of a holonomy, a Goldman function, is invariant under constant gauge."""
     x1 = CTX3.random_compact(RNG, 0.3)
     x2 = CTX3.random_compact(RNG, 0.3)
     conn = xi_map(x1, x2, None)
-    assert abs(goldman_function(xi_map(np.zeros((3, 3)), np.zeros((3, 3)), None),
-                                CAT.contours["gamma1"]) - 3.0) < 1e-10
-    base = goldman_function(conn, CAT.contours["eight_narrow"], 1e-11)
+    flat = xi_map(np.zeros((3, 3)), np.zeros((3, 3)), None)
+    assert abs(np.trace(holonomy(flat, CAT.contours["gamma1"])) - 3.0) < 1e-10
+    base = np.trace(holonomy(conn, CAT.contours["eight_narrow"], 1e-11))
     for _ in range(5):
         k = CTX3.random_unitary(RNG)
         moved = xi_map(k @ x1 @ k.conj().T, k @ x2 @ k.conj().T, None)
-        assert abs(goldman_function(moved, CAT.contours["eight_narrow"], 1e-11)
+        assert abs(np.trace(holonomy(moved, CAT.contours["eight_narrow"], 1e-11))
                    - base) < 1e-8 * max(1.0, abs(base))
 
 
@@ -413,8 +435,8 @@ def test_goldman_homotopy_invariance():
     x1 = CTX2.random_compact(RNG, 0.25)
     x2 = CTX2.random_compact(RNG, 0.25)
     conn = xi_map(x1, x2, None)
-    circle = goldman_function(conn, CAT.contours["circle_plus"], 1e-11)
-    loop = goldman_function(conn, CAT.contours["gamma1"], 1e-11)
+    circle = np.trace(holonomy(conn, CAT.contours["circle_plus"], 1e-11))
+    loop = np.trace(holonomy(conn, CAT.contours["gamma1"], 1e-11))
     assert abs(circle - loop) < 1e-8 * max(1.0, abs(circle))
 
 

@@ -10,8 +10,8 @@ import hypothesis.strategies as st  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from scipy.linalg import expm  # noqa: E402
 
-from trinion.decompositions import (_iwasawa, _iwasawa_dual, iwasawa, iwasawa_dual,  # noqa: E402
-                                    kstar_from_matrix)
+from trinion.decompositions import (KStarElement, _iwasawa, _iwasawa_dual, iwasawa,  # noqa: E402
+                                    iwasawa_dual)
 from trinion.lie_core import build_algebra  # noqa: E402
 
 _COEFFS = st.floats(-0.8, 0.8, allow_nan=False)
@@ -49,5 +49,5 @@ def test_stacked_iwasawa_kernel(case):
         for unit, tri, prod in ((k[i], ks[i], k[i] @ ks[i]), (k_d[i], ks_d[i], ks_d[i] @ k_d[i])):
             assert np.linalg.norm(unit.conj().T @ unit - eye) < 1e-12
             assert np.max(np.abs(np.tril(tri, -1))) <= 1e-12 * np.max(np.abs(tri))
-            assert kstar_from_matrix(ctx, tri).phase_residual(ctx, u) < 1e-11
+            assert KStarElement(tri).phase_residual(ctx, u) < 1e-11
             assert np.linalg.norm(prod - g) <= 1e-11 * np.linalg.norm(g)

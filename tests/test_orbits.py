@@ -6,11 +6,10 @@ from trinion.errors import EvaluationError
 from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
-from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, _damped_steps,
-                            _kstar_callbacks, _levenberg_marquardt, _solve, _zero_callbacks,
-                            diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
-                            orbit_point, sample_orbit, solve_moment_kstar,
-                            solve_moment_zero, tangent_rank)
+from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, OrbitPoint,
+                            _damped_steps, _kstar_callbacks, _levenberg_marquardt, _solve,
+                            _zero_callbacks, diag_coadjoint, diag_dressing, gauge_fix,
+                            kk_bracket, solve_moment_kstar, solve_moment_zero, tangent_rank)
 
 RNG = np.random.default_rng(11)
 CTX2 = build_algebra(2)
@@ -18,22 +17,12 @@ CTX3 = build_algebra(3)
 H03 = weyl_normalize([0.3, -0.3])
 
 
-def test_orbit_point_identity_witness():
-    p = orbit_point(CTX3, weyl_normalize([0.5, 0.1, -0.6]), np.eye(3))
-    assert np.max(np.abs(p.X - p.H.matrix)) == 0.0
-
-
 def test_orbit_spectrum_preserved():
     h = weyl_normalize([0.5, 0.1, -0.6])
     for _ in range(100):
-        p = orbit_point(CTX3, h, CTX3.random_unitary(RNG))
+        k = CTX3.random_unitary(RNG)
+        p = OrbitPoint(X=k @ h.matrix @ k.conj().T, H=h, witness=k)
         assert p.spectrum_residual() < 1e-12
-
-
-def test_sample_orbit_deterministic():
-    a = sample_orbit(CTX2, H03, seed=123)
-    b = sample_orbit(CTX2, H03, seed=123)
-    assert np.array_equal(a.X, b.X)
 
 
 def test_kk_linear_functions_exact():
