@@ -240,8 +240,7 @@ def cmd_bracket(cfg, kind, args):
         fig = figure_three()
         gs = [_random_sl(ctx, rng, 0.4) for _ in range(3)]
         f1, f2 = entry_fn(0, 0, "real"), entry_fn(0, 1, "imag")
-        rep = fr_vs_kstar(ctx, fig, 0, f1, 0, f2, gs, rm, u=u)
-        payload = rep
+        payload = fr_vs_kstar(ctx, fig, [(0, f1, 0, f2)], gs, rm, u=u)[0]
     _write(payload, cfg["out"])
     return 0
 

@@ -141,14 +141,14 @@ def fr_bracket(ctx, graph, psi1, psi2, conn, rmat, fd_step=1e-6):
     axes too: the value is a float for a single connection and an array
     over ``lead`` otherwise, so a bracket is itself a test function.
     """
-    return _fr_bracket_pair(ctx, graph, lambda c: (psi1(c), psi2(c)), conn, rmat, fd_step)
+    return _fr_brackets(ctx, graph, lambda c: (psi1(c), psi2(c)), conn, rmat, fd_step)[0]
 
 
-def _stacked_covectors(ctx, graph, psi12, conn, fd_step):
-    """End covectors ``(xi, eta)``, each ``lead + (ends, dim)``, ends in cilium order.
+def _stacked_covectors(ctx, graph, psi, conn, fd_step):
+    """End covectors of each value of ``psi``, each ``lead + (ends, dim)``, ends in cilium order.
 
     Each step sign, end and real direction is one row of a stacked connection
-    ``lead + (2, ends, dim)``, which ``psi12`` maps to the values of both
+    ``lead + (2, ends, dim)``, which ``psi`` maps to the values of all its
     functions over those axes in one call.  A target end carries the left
     gradient, a source end minus the right one.
     """
@@ -164,26 +164,32 @@ def _stacked_covectors(ctx, graph, psi12, conn, fd_step):
         plus, minus = (eps @ a, ems @ a) if w == "tgt" else (a @ ems, a @ eps)
         stack[e][..., 0, i, :, :, :] = plus
         stack[e][..., 1, i, :, :, :] = minus
-    v1, v2 = psi12(GraphConnection(stack))
-    return (_central_differences(v1, len(lead), fd_step),
-            _central_differences(v2, len(lead), fd_step))
+    return [_central_differences(v, len(lead), fd_step) for v in psi(GraphConnection(stack))]
 
 
-def _fr_bracket_pair(ctx, graph, psi12, conn, rmat, fd_step):
-    """Graph bracket of the two components of the stack function ``psi12``."""
+def _fr_brackets(ctx, graph, psi, conn, rmat, fd_step):
+    """Graph brackets of consecutive pairs of the values of the stack function ``psi``.
+
+    ``psi`` returns ``2m`` values; the result lists the brackets of values
+    ``(0, 1)``, ``(2, 3)``, ..., ``(2m - 2, 2m - 1)``.
+    """
     rp = rmat.tensor
-    xi, eta = _stacked_covectors(ctx, graph, psi12, conn, fd_step)
-    total = 0.0
-    first = 0
-    for ends in graph.orders.values():
-        last = first + len(ends)
-        for i in range(first, last):
-            x, y = xi[..., i, :], eta[..., i, :]
-            total += 0.5 * (_r_contract(x, rp, y) - _r_contract(y, rp, x))
-            for j in range(i + 1, last):
-                total += _r_contract(x, rp, eta[..., j, :]) - _r_contract(y, rp, xi[..., j, :])
-        first = last
-    return _point_value(total)
+    covs = _stacked_covectors(ctx, graph, psi, conn, fd_step)
+    out = []
+    for xi, eta in zip(covs[::2], covs[1::2]):
+        total = 0.0
+        first = 0
+        for ends in graph.orders.values():
+            last = first + len(ends)
+            for i in range(first, last):
+                x, y = xi[..., i, :], eta[..., i, :]
+                total += 0.5 * (_r_contract(x, rp, y) - _r_contract(y, rp, x))
+                for j in range(i + 1, last):
+                    total += (_r_contract(x, rp, eta[..., j, :])
+                              - _r_contract(y, rp, xi[..., j, :]))
+            first = last
+        out.append(_point_value(total))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +322,30 @@ def goldman_rhs(ctx, conn, contour_a, contour_b, ode_tol=1e-10, geometric=True):
     return {"casimir_form": cas, "trace_form": tr, "points": points}
 
 
-def fr_vs_kstar(ctx, fig3, slot1, f1, slot2, f2, gs, rmat, u=None):
-    """Compare the graph bracket of dual-group pullbacks with the direct bracket.
+def fr_vs_kstar(ctx, fig3, pairs, gs, rmat, u=None):
+    """Compare graph brackets of dual-group pullbacks with the direct brackets.
 
-    ``f1``/``f2`` are test functions on a dual-group factor (slots 0..2):
-    they map matrices with leading axes to values over those axes.  Each is
-    called once on the factors of one stacked projection of all perturbed
-    connections; the pullbacks are bracketed on the three-edge graph at
-    ``gs`` and compared against the dual-group bracket (zero across distinct
-    slots).
+    ``pairs`` lists ``(slot1, f1, slot2, f2)``: test functions on dual-group
+    factors (slots 0..2) that map matrices with leading axes to values over
+    those axes.  All perturbed connections of the bracket take one stacked
+    projection, shared by every pair, and each function is called once on
+    its factors; the pullbacks are bracketed on the three-edge graph at
+    ``gs`` and compared against the dual-group bracket at the projection of
+    ``gs`` (zero across distinct slots).  Returns one report per pair.
     """
     conn = GraphConnection({"e1": gs[0], "e2": gs[1], "e3": gs[2]})
 
     def pulled(a):
         ks = chi_map(ctx, a["e1"], a["e2"], a["e3"], u)
-        return f1(ks[slot1].matrix), f2(ks[slot2].matrix)
+        return [f(ks[slot].matrix) for s1, f1, s2, f2 in pairs
+                for slot, f in ((s1, f1), (s2, f2))]
 
-    fr = _fr_bracket_pair(ctx, fig3.bracket_graph, pulled, conn, rmat, 1e-6)
-    if slot1 == slot2:
-        point = chi_map(ctx, gs[0], gs[1], gs[2], u)[slot1]
-        plb = sklyanin_eval(ctx, BracketSpace.DualGroup, f1, f2, point, rmat,
-                            fd_step=1e-5)
-    else:
-        plb = 0.0
-    scale = max(abs(fr), abs(plb), 1e-6)
-    return {"fr_value": fr, "plb_value": plb, "rel_err": abs(fr - plb) / scale}
+    frs = _fr_brackets(ctx, fig3.bracket_graph, pulled, conn, rmat, 1e-6)
+    point = chi_map(ctx, gs[0], gs[1], gs[2], u)
+    reports = []
+    for (slot1, f1, slot2, f2), fr in zip(pairs, frs):
+        plb = (sklyanin_eval(ctx, BracketSpace.DualGroup, f1, f2, point[slot1], rmat,
+                             fd_step=1e-5) if slot1 == slot2 else 0.0)
+        scale = max(abs(fr), abs(plb), 1e-6)
+        reports.append({"fr_value": fr, "plb_value": plb, "rel_err": abs(fr - plb) / scale})
+    return reports

@@ -305,13 +305,34 @@ def _omega_coefficients(p, q):
                      d * f1 / 240.0, d * f2 / 240.0], axis=1)
 
 
-def _magnus_propagators(segs, g, s0, h, basis, scale):
-    """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of ``segs[g_i]``, ``(n, n, B, P)``."""
+def _segment_table(segs):
+    """The segments as rows of ``(arc flags, complex columns (start, end, center), real
+    columns (radius, a0, a1))``; a column is zero in the rows of the other kind."""
+    arc = np.array([isinstance(seg, ArcSegment) for seg in segs])
+    points = np.array([(0, 0, seg.center) if a else (seg.start, seg.end, 0)
+                       for seg, a in zip(segs, arc)], dtype=complex).reshape(-1, 3).T
+    reals = np.array([(seg.radius, seg.a0, seg.a1) if a else (0, 0, 0)
+                      for seg, a in zip(segs, arc)], dtype=float).reshape(-1, 3).T
+    return arc, points, reals
+
+
+def _table_points(table, g, s):
+    """``z`` and ``dz`` at parameters ``s``, ``(P, k)``, on the rows ``g`` of a segment table.
+
+    The rows of each kind form one segment whose fields are columns, so the
+    segments' own ``z`` and ``dz`` evaluate all panels at once.
+    """
+    arc, points, reals = table
+    (start, end, center), (radius, a0, a1) = points[:, g, None], reals[:, g, None]
+    line, circle, on = LineSegment(start, end), ArcSegment(center, radius, a0, a1), arc[g, None]
+    return np.where(on, circle.z(s), line.z(s)), np.where(on, circle.dz(s), line.dz(s))
+
+
+def _magnus_propagators(table, g, s0, h, basis, scale):
+    """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of segment table rows ``g_i``,
+    ``(n, n, B, P)``."""
     s = s0[:, None] + h[:, None] * _GL_NODES
-    z, dz = np.empty(s.shape, complex), np.empty(s.shape, complex)
-    for k in set(g.tolist()):  # not np.unique, which imports numpy.ma
-        on = g == k
-        z[on], dz[on] = segs[k].z(s[on]), segs[k].dz(s[on])
+    z, dz = _table_points(table, g, s)
     w = (-scale) * dz * h[:, None]
     coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
     omega, n = basis.transpose(2, 3, 1, 0).reshape(-1, len(basis)) @ coef.T, basis.shape[-1]
@@ -321,14 +342,14 @@ def _magnus_propagators(segs, g, s0, h, basis, scale):
     return _expm_stack(omega.reshape(n, n, -1)).reshape(n, n, -1, len(s0))
 
 
-def _step_doubling(segs, g, s0, h, known, prior, basis, scale):
+def _step_doubling(table, g, s0, h, known, prior, basis, scale):
     """Products of the panels' halves, the halves ``(n, n, B, 2P)``, and the step-doubling errors.
 
     Panels marked ``known`` take their one-panel propagators from ``prior``.  An error is the
     largest entry of |two-half - one-panel| over the batch over the larger of the two, at most 2."""
     m, fresh = len(s0), ~known
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _magnus_propagators(segs, np.concatenate([g, g, g[fresh]]),
+        e = _magnus_propagators(table, np.concatenate([g, g, g[fresh]]),
                                 np.concatenate([s0, s0 + h / 2, s0[fresh]]),
                                 np.concatenate([h / 2, h / 2, h[fresh]]), basis, scale)
         one = np.empty_like(e[..., :m])
@@ -374,6 +395,7 @@ def _transport(x1s, x2s, scale, paths, tol):
         if (d := seg.pole_distance()) < 0.9 * POLE_MARGIN:
             raise PoleTooClose(f"{names[owner[q]]}: segment from {seg.z(0.0):.4f} passes "
                                f"{d:.4f} from a pole (margin {POLE_MARGIN})")
+    table = _segment_table(segs)
     basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
     n, stack = basis.shape[-1], basis.shape[1]
     psi = np.tile(np.eye(n, dtype=complex)[:, :, None, None], (1, 1, stack, len(paths)))
@@ -384,7 +406,7 @@ def _transport(x1s, x2s, scale, paths, tol):
         k = max(1, np.searchsorted(np.cumsum(3 - has) * (stack + 1), _CHUNK, "right"))
         c = has[:k].sum()
         try:
-            props, halves, err = _step_doubling(segs, g[:k], s0[:k], h[:k], has[:k],
+            props, halves, err = _step_doubling(table, g[:k], s0[:k], h[:k], has[:k],
                                                 store[..., :c], basis, scale)
         except ToleranceNotMet as exc:
             raise ToleranceNotMet(f"{names[owner[exc.args[1]]]}: {exc.args[0]}") from None

@@ -12,6 +12,7 @@ meaningless relative error of two zeros.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -153,7 +154,9 @@ def suite_emap(seed=0, ns=(2, 3), trials=200):
 # solution sampling shared by the geometric suites
 # ---------------------------------------------------------------------------
 
-def _solvable_spectra(ctx, rng, lo=0.15, hi=0.6):
+def _sampled_spectra(ctx, rng, lo=0.15, hi=0.6):
+    """Three chamber labels: a strict triangle at n = 2; at n = 3 only the
+    gaps are bounded below, so Horn's inequalities may rule the triple out."""
     n = ctx.n
     if n == 2:
         while True:
@@ -173,18 +176,43 @@ def _solvable_spectra(ctx, rng, lo=0.15, hi=0.6):
             return hs
 
 
+def _horn_margin(thetas):
+    """Smallest slack of Horn's inequalities for a zero sum with spectra ``thetas``.
+
+    With ``a``, ``b`` the decreasing spectra of ``-i X1``, ``-i X2`` and ``c``
+    that of ``i X3``, the bounds are ``c_k <= a_i + b_j`` for ``i + j = k + 1``
+    and ``c_k >= a_i + b_j`` for ``i + j = k + n``.  They hold at every
+    solution of ``X1 + X2 + X3 = 0`` (Weyl); at n = 2 they are the triangle
+    rule, and at n = 3 they are the complete list (Klyachko, Selecta Math. 4
+    (1998); Knutson-Tao, JAMS 12 (1999)), so there a triple is feasible
+    exactly when the margin is nonnegative.
+    """
+    a, b = (np.sort(t)[::-1] for t in thetas[:2])
+    c = np.sort(-np.asarray(thetas[2]))[::-1]
+    n = len(c)
+    slack = [a[i] + b[j] - c[i + j] for i in range(n) for j in range(n - i)]
+    slack += [c[i + j + 1 - n] - a[i] - b[j] for i in range(n) for j in range(n - 1 - i, n)]
+    return float(min(slack))
+
+
 def _gauge_fixed_solutions(ctx, seed, count, lo=0.15, hi=0.6):
+    """``count`` gauge-fixed zero-level solutions on spectra drawn by ``_sampled_spectra``.
+
+    A draw that Horn's inequalities rule out skips its solve, which would
+    return ``NoSolution``, but still counts as an attempt, so every later
+    attempt keeps its solver seed.
+    """
     out = []
     rng = np.random.default_rng((seed, ctx.n, 3))
-    attempt = 0
-    while len(out) < count:
-        hs = _solvable_spectra(ctx, rng, lo, hi)
-        sol = solve_moment_zero(ctx, *hs, seed=(seed, attempt), restarts=8)
-        attempt += 1
-        if isinstance(sol, NoSolution):
+    for attempt in itertools.count():
+        if len(out) == count:
+            return out
+        hs = _sampled_spectra(ctx, rng, lo, hi)
+        if _horn_margin([h.theta for h in hs]) < -1e-9:
             continue
-        out.append(gauge_fix(ctx, sol))
-    return out
+        sol = solve_moment_zero(ctx, *hs, seed=(seed, attempt), restarts=8)
+        if not isinstance(sol, NoSolution):
+            out.append(gauge_fix(ctx, sol))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +338,14 @@ def suite_chi(seed=0, ns=(2, 3), count=20):
                 mats[0] @ mats[1] @ mats[2] - np.eye(n))))
             for k, p in zip(ks, sol.points):
                 worst_spec = max(worst_spec, DressingOrbitPoint(k, p.H, np.pi).spectrum_residual())
-        slot_pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
-        reports = []
-        for s1, s2 in slot_pairs:
+        pairs = []
+        for s1, s2 in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]:
             c1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             c2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             f1 = lambda M, c=c1: np.real(np.trace(c @ M, axis1=-2, axis2=-1))
             f2 = lambda M, c=c2: np.imag(np.trace(c @ M, axis1=-2, axis2=-1))
-            reports.append(fr_vs_kstar(ctx, fig, s1, f1, s2, f2, gs_fr, rm))
+            pairs.append((s1, f1, s2, f2))
+        reports = fr_vs_kstar(ctx, fig, pairs, gs_fr, rm)
         # cross-slot values vanish identically; score them on the scale of
         # the nonzero same-slot brackets rather than against zero
         scale = max(1.0, max(abs(r["plb_value"]) for r in reports))
@@ -433,28 +461,44 @@ def _bracket_axioms(n, seed, triples, fig):
 # 9. solver against the closed-form feasibility rule
 # ---------------------------------------------------------------------------
 
-def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6):
-    ctx = build_algebra(2)
+def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6, draws=60):
+    """Zero-level solver verdicts against Horn's inequalities.
+
+    At n = 2 every point of a ``grid^3`` lattice of spectra is solved.  At
+    n = 3, ``draws`` seeded triples from the geometric suites' sampler are
+    solved; triples within 0.01 of a Horn face are redrawn, since there the
+    verdict rests on the solver's tolerance rather than on the inequalities.
+    """
     tol = 1e-10
-    values = np.linspace(0.1, 1.0, grid)
-    mismatches = 0
-    worst_feasible = 0.0
-    total = 0
-    for t1 in values:
-        for t2 in values:
-            for t3 in values:
-                total += 1
-                feasible = 2 * max(t1, t2, t3) <= t1 + t2 + t3 + 1e-12
-                hs = [weyl_normalize([x, -x]) for x in (t1, t2, t3)]
-                sol = solve_moment_zero(ctx, *hs, seed=(seed, total), tol=tol,
-                                        restarts=restarts)
-                got = not isinstance(sol, NoSolution)
-                if got != feasible:
-                    mismatches += 1
-                elif got:
-                    worst_feasible = max(worst_feasible, sol.residual)
-    return [CheckRecord("moment.oracle_agreement.n2", float(mismatches), 0.0, 0.0),
-            CheckRecord("moment.feasible_residual.n2", worst_feasible, tol, 0.0)]
+    rec = []
+    for n in ns:
+        ctx = build_algebra(n)
+        if n == 2:
+            values = np.linspace(0.1, 1.0, grid)
+            triples = [[weyl_normalize([x, -x]) for x in th]
+                       for th in itertools.product(values, repeat=3)]
+        elif n == 3:
+            rng = np.random.default_rng((seed, n, 9))
+            triples = []
+            while len(triples) < draws:
+                hs = _sampled_spectra(ctx, rng)
+                if abs(_horn_margin([h.theta for h in hs])) >= 0.01:
+                    triples.append(hs)
+        else:
+            continue
+        mismatches, worst_feasible = 0, 0.0
+        for k, hs in enumerate(triples, start=1):
+            feasible = _horn_margin([h.theta for h in hs]) >= -1e-12
+            sol = solve_moment_zero(ctx, *hs, seed=(seed, k), tol=tol, restarts=restarts)
+            got = not isinstance(sol, NoSolution)
+            if got != feasible:
+                mismatches += 1
+            elif got:
+                worst_feasible = max(worst_feasible, sol.residual)
+        rec.append(CheckRecord(f"moment.oracle_agreement.n{n}", float(mismatches), 0.0, 0.0))
+        if n == 2:
+            rec.append(CheckRecord("moment.feasible_residual.n2", worst_feasible, tol, 0.0))
+    return rec
 
 
 SUITES = {
@@ -475,7 +519,7 @@ PROFILES = {
     "quick": {"iwasawa": {"samples": 300}, "emap": {"trials": 60},
               "xi_geometry": {"count": 6}, "goldman": {"points": 6},
               "chi_side": {"count": 6}, "bracket_axioms": {"triples": 4},
-              "moment_oracle": {"restarts": 4}},
+              "moment_oracle": {"restarts": 4, "draws": 20}},
 }
 
 

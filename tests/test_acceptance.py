@@ -68,6 +68,9 @@ def test_criterion_8_bracket_axioms():
 
 
 def test_criterion_9_moment_solver_vs_oracle():
-    records, elapsed = _run("moment_oracle", seed=0)
+    records, elapsed = _run("moment_oracle", seed=0, ns=(2, 3))
     _assert_all(records)
+    assert [r.name for r in records] == ["moment.oracle_agreement.n2",
+                                         "moment.feasible_residual.n2",
+                                         "moment.oracle_agreement.n3"]
     assert elapsed < 60.0

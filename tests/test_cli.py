@@ -170,6 +170,23 @@ def test_bracket_commands(tmp_path):
         assert out.exists()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_bracket_fr_prints_the_per_perturbation_reference(n, capsys):
+    """``bracket fr`` prints, byte for byte, the report of the unstacked reference."""
+    from fr_reference import fr_vs_kstar as reference_fr_vs_kstar
+    from trinion.graph_poisson import figure_three
+    from trinion.lie_core import build_algebra, r_matrix
+    from trinion.verify import _random_sl
+
+    assert run(["--n", str(n), "--seed", "4", "bracket", "fr"]) == 0
+    ctx = build_algebra(n)
+    rng = np.random.default_rng(4)
+    gs = [_random_sl(ctx, rng, 0.4) for _ in range(3)]
+    want = reference_fr_vs_kstar(ctx, figure_three(), 0, lambda m: m[..., 0, 0].real,
+                                 0, lambda m: m[..., 0, 1].imag, gs, r_matrix(ctx, np.pi))
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_goldman_bracket_disjoint_zero(tmp_path):
     out = tmp_path / "g.json"
     assert run(["--out", str(out), "bracket", "goldman",

@@ -294,7 +294,7 @@ def test_fr_vs_kstar_cross_slot_zero():
     gs = [random_sl(CTX2) for _ in range(3)]
     rm = r_matrix(CTX2, 1.0)
     rng = np.random.default_rng(8)
-    rep = fr_vs_kstar(CTX2, FIG, 0, entry(rng, 2), 1, entry(rng, 2), gs, rm)
+    (rep,) = fr_vs_kstar(CTX2, FIG, [(0, entry(rng, 2), 1, entry(rng, 2))], gs, rm)
     assert abs(rep["fr_value"]) < 1e-6 and abs(rep["plb_value"]) < 1e-12
 
 
@@ -303,9 +303,8 @@ def test_fr_vs_kstar_same_slot_matches():
     for ctx in (CTX2, CTX3):
         gs = [random_sl(ctx, rng=rng) for _ in range(3)]
         rm = r_matrix(ctx, 1.0)
-        for slot in (0, 1, 2):
-            rep = fr_vs_kstar(ctx, FIG, slot, entry(rng, ctx.n), slot, entry(rng, ctx.n),
-                              gs, rm)
+        pairs = [(slot, entry(rng, ctx.n), slot, entry(rng, ctx.n)) for slot in (0, 1, 2)]
+        for rep in fr_vs_kstar(ctx, FIG, pairs, gs, rm):
             assert rep["rel_err"] < 1e-6
 
 
@@ -316,7 +315,7 @@ def test_fr_vs_kstar_with_twist_and_scale():
     t = 0.75
     rm = r_matrix(ctx, t, u)
     gs = [random_sl(ctx, rng=rng) for _ in range(3)]
-    rep = fr_vs_kstar(ctx, FIG, 1, entry(rng, 3), 1, entry(rng, 3), gs, rm, u=u)
+    (rep,) = fr_vs_kstar(ctx, FIG, [(1, entry(rng, 3), 1, entry(rng, 3))], gs, rm, u=u)
     assert rep["rel_err"] < 1e-5
 
 
@@ -332,7 +331,7 @@ def test_fr_vs_kstar_nonfinite_row_raises():
         return values
 
     with pytest.raises(EvaluationError):
-        fr_vs_kstar(CTX2, FIG, 0, f1, 0, lambda m: np.imag(m[..., 0, 0]), gs, rm)
+        fr_vs_kstar(CTX2, FIG, [(0, f1, 0, lambda m: np.imag(m[..., 0, 0]))], gs, rm)
     assert calls == [(2, 6, 6)]  # one call on the factors of all 72 perturbed connections
 
 
@@ -361,9 +360,32 @@ def test_fr_vs_kstar_bit_equal_to_per_perturbation_reference(ctx, u, t):
     rng = np.random.default_rng(11)
     rm = r_matrix(ctx, t, u)
     gs = [random_sl(ctx, rng=rng) for _ in range(3)]
-    for s1, s2 in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]:
-        f1, f2 = entry(rng, ctx.n), entry(rng, ctx.n)
-        got = fr_vs_kstar(ctx, FIG, s1, f1, s2, f2, gs, rm, u=u)
-        want = reference_fr_vs_kstar(ctx, FIG, s1, f1, s2, f2, gs, rm, u=u)
+    pairs = [(s1, entry(rng, ctx.n), s2, entry(rng, ctx.n))
+             for s1, s2 in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]]
+    for pair, got in zip(pairs, fr_vs_kstar(ctx, FIG, pairs, gs, rm, u=u), strict=True):
+        want = reference_fr_vs_kstar(ctx, FIG, *pair, gs, rm, u=u)
         for key in ("fr_value", "plb_value", "rel_err"):
-            assert float.hex(got[key]) == float.hex(want[key]), (s1, s2, key)
+            assert float.hex(got[key]) == float.hex(want[key]), (pair[0], pair[2], key)
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_fr_vs_kstar_pairs_share_two_chi_maps(ctx, monkeypatch):
+    """Six pairs in one call give the six one-pair values bit for bit, from two projections."""
+    import trinion.graph_poisson as gp
+
+    calls = []
+    chi = gp.chi_map
+    monkeypatch.setattr(gp, "chi_map", lambda *a, **k: calls.append(1) or chi(*a, **k))
+    rng = np.random.default_rng(12)
+    rm = r_matrix(ctx, 1.0)
+    gs = [random_sl(ctx, rng=rng) for _ in range(3)]
+    pairs = [(s1, entry(rng, ctx.n), s2, entry(rng, ctx.n))
+             for s1, s2 in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]]
+    together = fr_vs_kstar(ctx, FIG, pairs, gs, rm)
+    assert len(calls) == 2
+    for pair, got in zip(pairs, together, strict=True):
+        calls.clear()
+        (want,) = fr_vs_kstar(ctx, FIG, [pair], gs, rm)
+        assert len(calls) == 2
+        for key in ("fr_value", "plb_value", "rel_err"):
+            assert float.hex(got[key]) == float.hex(want[key]), (pair[0], pair[2], key)

@@ -128,14 +128,14 @@ def test_integrator_order():
 
     # the panel rule itself is sixth order: doubling uniform panels cuts the
     # error by about 2^6 (adaptive refinement would hide a lower order)
-    from trinion.holonomy import _bracket_basis, _magnus_propagators
+    from trinion.holonomy import _bracket_basis, _magnus_propagators, _segment_table
 
     basis = _bracket_basis(conn.X1[None], conn.X2[None])
 
     def uniform(m):
         psi = np.eye(3, dtype=complex)
         for seg in eight.segments:
-            e = _magnus_propagators([seg], np.zeros(m, int), np.arange(m) / m,
+            e = _magnus_propagators(_segment_table([seg]), np.zeros(m, int), np.arange(m) / m,
                                     np.full(m, 1.0 / m), basis, conn.scale)
             for j in range(m):  # the propagators come as (n, n, B, panels)
                 psi = e[:, :, 0, j] @ psi
@@ -143,6 +143,30 @@ def test_integrator_order():
 
     coarse, fine = (np.linalg.norm(uniform(m) - ref) for m in (32, 64))
     assert coarse / fine > 40
+
+
+def test_segment_table_is_each_segments_own_z_and_dz():
+    """One evaluation over a table of mixed segments gives each segment's own values."""
+    from trinion.holonomy import _segment_table, _table_points
+
+    segs = []
+    for c in CAT.contours.values():
+        segs += c.segments + c.reflected().segments + c.reversed().segments
+        for d in c.intersections:
+            pieces = _cut(c.segments, [d.seg_param]) + _cut(CAT.contours[d.other].segments,
+                                                             [d.other_seg_param])
+            segs += [seg for piece in pieces for seg in piece]
+            segs += resolved_segments(c, d, CAT.contours[d.other])
+    segs += [seg.reflect() for piece in _cut(CAT.contours["gamma3"].segments,
+                                             [(1, 0.25), (1, 0.5), (2, 0.9)]) for seg in piece]
+    assert {type(seg) for seg in segs} == {LineSegment, ArcSegment}
+    rng = np.random.default_rng(6)
+    g = np.concatenate([np.arange(len(segs)), rng.integers(len(segs), size=300)])
+    s = np.concatenate([rng.uniform(0.0, 1.0, (len(g) - 2, 3)), [[0.0, 0.5, 1.0]] * 2])
+    z, dz = _table_points(_segment_table(segs), g, s)
+    for k, sk, zk, dzk in zip(g, s, z, dz, strict=True):
+        assert np.array_equal(zk, segs[k].z(sk)), segs[k]
+        assert np.array_equal(dzk, np.broadcast_to(segs[k].dz(sk), sk.shape)), segs[k]
 
 
 def test_tree_product_matches_left_fold():

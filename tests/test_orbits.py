@@ -1,3 +1,6 @@
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -345,3 +348,58 @@ def test_lowest_converging_trial_wins():
         assert got == first_alone(CTX3, residual, jacobian, starts, 1e-15), seed
         winners.append(got)
     assert any(w not in (0, None) for w in winners)
+
+
+# ---------------------------------------------------------------------------
+# Horn's inequalities: the zero level's feasibility oracle
+# ---------------------------------------------------------------------------
+
+def test_horn_margin_is_the_triangle_rule_at_n2():
+    from trinion.verify import _horn_margin
+
+    values = np.linspace(0.1, 1.0, 10)
+    verdicts = set()
+    for th in itertools.product(values, repeat=3):
+        thetas = [[x, -x] for x in th]
+        rule = 2 * max(th) <= sum(th) + 1e-12
+        assert (_horn_margin(thetas) >= -1e-12) == rule, th
+        verdicts.add(rule)
+    assert verdicts == {True, False}
+
+
+def test_horn_margin_matches_the_solver_at_n3():
+    """Away from the faces the solver finds a zero sum exactly when Horn allows one."""
+    from trinion.verify import _horn_margin, _sampled_spectra
+
+    rng = np.random.default_rng(31)
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 48:
+        hs = _sampled_spectra(CTX3, rng, 0.1, 1.0)
+        margin = _horn_margin([h.theta for h in hs])
+        if abs(margin) < 0.01:
+            continue
+        sol = solve_moment_zero(CTX3, *hs, seed=sum(counts.values()), restarts=32)
+        assert isinstance(sol, MomentSolution) == (margin > 0), [h.theta for h in hs]
+        counts[margin > 0] += 1
+    assert min(counts.values()) >= 10
+
+
+# (seed, count, lo, hi) of the xi_geometry, chi_side and dimension suites at seed 0
+SAMPLER_CALLS = [(0, 20, 0.12, 0.35), (1, 20, 0.15, 0.6), (2, 2, 0.15, 0.6)]
+
+
+@pytest.mark.parametrize("seed, count, lo, hi", SAMPLER_CALLS)
+def test_horn_skip_keeps_the_sampled_solutions(seed, count, lo, hi, monkeypatch):
+    """Skipping the solves Horn rules out changes no solution, and every solve succeeds."""
+    verify = importlib.import_module("trinion.verify")
+    outcomes = []
+    solve = verify.solve_moment_zero
+    monkeypatch.setattr(verify, "solve_moment_zero",
+                        lambda *a, **k: outcomes.append(solve(*a, **k)) or outcomes[-1])
+    skipped = verify._gauge_fixed_solutions(CTX3, seed, count, lo, hi)
+    assert outcomes and not any(isinstance(o, NoSolution) for o in outcomes)
+    monkeypatch.setattr(verify, "_horn_margin", lambda thetas: 1.0)
+    solved = verify._gauge_fixed_solutions(CTX3, seed, count, lo, hi)
+    for a, b in zip(skipped, solved, strict=True):
+        for p, q in zip(a.points, b.points, strict=True):
+            assert np.array_equal(p.X, q.X) and np.array_equal(p.witness, q.witness)
