@@ -168,7 +168,7 @@ def cmd_solve(cfg, level):
         if cfg["t"] == 0:
             raise SchemaError("solve kstar needs t != 0")
         u = None if cfg["u"] is None else np.asarray(cfg["u"])
-        sol = solve_moment_kstar(ctx, *hs, t=cfg["t"], u=u, seed=cfg["seed"], tol=max(tol, 1e-9))
+        sol = solve_moment_kstar(ctx, *hs, t=cfg["t"], u=u, seed=cfg["seed"], tol=tol)
     if isinstance(sol, NoSolution):
         _write({"status": "no_solution", "best_residual": sol.best_residual,
                 "trials": sol.trials}, cfg["out"])

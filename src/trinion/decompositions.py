@@ -123,6 +123,17 @@ def _iwasawa_dual(ctx, g, u=None):
     return np.linalg.inv(ks_inv), np.linalg.inv(k_inv)
 
 
+def _dual_part(ctx, x, u=None):
+    """The component ``y`` of ``x`` in ``b_u`` along ``sl(n,C) = su(n) + b_u``, over leading axes.
+
+    ``b_u``, the twisted dual algebra, is upper triangular with diagonal
+    ``-theta - i (U theta)`` for real ``theta``; ``x - y`` is anti-Hermitian.
+    """
+    re = np.diagonal(x, axis1=-2, axis2=-1).real
+    diag = re + 1j * _theta_twist(ctx, u, -re)
+    return np.triu(x, 1) + bar(np.tril(x, -1)) + diag[..., None] * np.eye(ctx.n)
+
+
 def iwasawa(ctx, g, u=None):
     """Factor ``g = k * kstar`` with k unitary and kstar in the twisted dual group."""
     k, kstar = _iwasawa(ctx, np.asarray(g, dtype=complex), u)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompositions import KStarElement, _iwasawa_dual, dressing_action, e_map, f_map
+from .decompositions import (KStarElement, _dual_part, _iwasawa_dual, dressing_action, e_map,
+                             f_map)
 from .errors import IllConditioned, NonRegular, ToleranceNotMet
 from .lie_core import CartanVector, _central_differences, _point_value, pair
 
@@ -307,65 +308,51 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
                           regularity_rank=rank, trial=trial)
 
 
-_DRESSING_FD = 1e-6
-
-
-def _dressing_inputs(ctx, hs, t, u):
-    """Orbit base points ``e(H_i)`` and the step unitaries ``exp(±fd t_b)``."""
-    bases = np.array([e_map(ctx, h.matrix, t, u).matrix for h in hs])
-    plus = _exp_su(ctx, _DRESSING_FD * ctx.compact_basis)
-    return bases, np.stack([plus, plus.conj().swapaxes(-1, -2)])
-
-
 def _dressed(ctx, bases, ks, u):
     """The dressed triples ``AD*_{k_i} e(H_i)`` as dual-group matrices, over leading axes."""
     return _iwasawa_dual(ctx, ks @ bases, u)[0]
 
 
-def _product_residual(ctx, prod):
-    """Real and imaginary parts of ``prod - e``, flattened over the last two axes."""
-    m = prod - np.eye(ctx.n)
-    shape = m.shape[:-2] + (-1,)
-    return np.concatenate([m.real.reshape(shape), m.imag.reshape(shape)], axis=-1)
+def _dressing_jacobian(ctx, mats, u):
+    """Derivatives of the dressed triples ``mats`` along ``k_i -> exp(s t_b) k_i``.
 
-
-def _dressing_jacobian(ctx, bases, steps, ks, mats, u):
-    """Central differences under ``k_i -> exp(±fd t_b) k_i`` through the dressing.
-
-    ``ks`` and ``mats``, the dressed triples at ``ks``, are stacks of shape
-    ``(..., 3, n, n)``; all ``2·3·nb`` moved factors of a stack are dressed in
-    one kernel call, and a column replaces only the moved slot.  Returns the
-    Jacobian of the product residual, shape ``(..., 2n², 3nb)`` with column
-    ``i*nb + b``, and the derivative of the moved slot, ``(..., 3, nb, n, n)``.
+    If ``k_i e(H_i) = b k'``, then ``exp(s t_b) b = b(s) k'(s)`` splits
+    ``b^-1 t_b b`` along ``sl(n,C) = b_u + su(n)``, so the dressed factor
+    moves by ``b _dual_part(b^-1 t_b b)``.  For ``mats`` of shape
+    ``(..., 3, n, n)``, returns the Jacobian of the product residual, shape
+    ``(..., 2n², 3nb)`` with column ``i*nb + b``, and the derivative of each
+    slot, ``(..., 3, nb, n, n)``.
     """
-    moved = _dressed(ctx, bases[:, None], steps[:, None] @ ks[..., None, :, None, :, :], u)
-    m0, m1, m2 = (mats[..., None, None, i, :, :] for i in range(3))
-    res = _product_residual(ctx, np.stack([moved[..., 0, :, :, :] @ m1 @ m2,
-                                           m0 @ moved[..., 1, :, :, :] @ m2,
-                                           m0 @ m1 @ moved[..., 2, :, :, :]], axis=-4))
-    cols = _central_differences(res, -4, _DRESSING_FD)
-    jac = cols.reshape(cols.shape[:-3] + (-1, cols.shape[-1])).swapaxes(-1, -2)
-    return jac, _central_differences(moved, -5, _DRESSING_FD)
+    b = mats[..., None, :, :]
+    moved = b @ _dual_part(ctx, np.linalg.inv(b) @ ctx.compact_basis @ b, u)
+    m0, m1, m2 = (mats[..., None, i, :, :] for i in range(3))
+    cols = np.stack([moved[..., 0, :, :, :] @ m1 @ m2, m0 @ moved[..., 1, :, :, :] @ m2,
+                     m0 @ m1 @ moved[..., 2, :, :, :]], axis=-4)
+    return cols.reshape(cols.shape[:-4] + (-1, ctx.n ** 2)).view(float).swapaxes(-1, -2), moved
 
 
 def _kstar_callbacks(ctx, hs, t, u):
-    """Residual and Jacobian callbacks of the unit-product level for the labels ``hs``."""
-    bases, steps = _dressing_inputs(ctx, hs, t, u)
+    """Residual and Jacobian callbacks of the unit-product level for the labels ``hs``.
+
+    The residual holds the entries of ``k*1 k*2 k*3 - e`` as interleaved real and imaginary parts.
+    """
+    bases = np.array([e_map(ctx, h.matrix, t, u).matrix for h in hs])
 
     def residual(ks):
         mats = _dressed(ctx, bases, ks, u)
-        return mats, _product_residual(ctx, mats[..., 0, :, :] @ mats[..., 1, :, :]
-                                       @ mats[..., 2, :, :])
+        prod = mats[..., 0, :, :] @ mats[..., 1, :, :] @ mats[..., 2, :, :] - np.eye(ctx.n)
+        return mats, prod.reshape(prod.shape[:-2] + (-1,)).view(float)
 
-    return residual, lambda ks, mats: _dressing_jacobian(ctx, bases, steps, ks, mats, u)[0]
+    return residual, lambda ks, mats: _dressing_jacobian(ctx, mats, u)[0]
 
 
 def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32):
     """Find dressing orbit points with ``k*1 k*2 k*3 = e`` or report failure.
 
-    Same restart contract as the zero-level solver; the Jacobian is built by
-    central differences through the dressing pipeline.  Trial 0 starts from
-    the zero-level solution's witnesses when there is one.
+    Same restart contract as the zero-level solver; the Jacobian is the
+    closed-form derivative of the dressing action, from the Iwasawa splitting
+    of sl(n,C) into su(n) and the dual algebra.  Trial 0 starts from the
+    zero-level solution's witnesses when there is one.
     """
     hs = [h1, h2, h3]
 
@@ -467,13 +454,11 @@ def tangent_rank(ctx, solution):
         xs = [p.X for p in solution.points]
         jac = _commutator_coords(ctx, xs)
         blocks = np.hsplit(jac, 3)
-    else:  # finite-difference differentials through the dressing pipeline
-        t, u = solution.t, solution.u
-        ks = np.array([p.witness for p in solution.points])
-        bases, steps = _dressing_inputs(ctx, [p.H for p in solution.points], t, u)
-        jac, moved = _dressing_jacobian(ctx, bases, steps, ks, _dressed(ctx, bases, ks, u), u)
+    else:  # closed-form differentials of the dressing at the solution's dual-group points
+        jac, moved = _dressing_jacobian(ctx, np.array([p.kstar.matrix for p in solution.points]),
+                                        solution.u)
         blocks = [d.reshape(nb, -1).view(float).T for d in moved]
-        xs = [_dual_log(ctx, p.kstar, t) for p in solution.points]
+        xs = [_dual_log(ctx, p.kstar, solution.t) for p in solution.points]
     rank_j = _rank(jac)
     slot_nullity = sum(nb - _rank(block) for block in blocks)
     reg_rank = _regularity(ctx, xs)

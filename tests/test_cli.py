@@ -143,6 +143,19 @@ def test_solve_kstar(tmp_path):
     assert sol["residual"] <= 1e-9
 
 
+def test_solve_kstar_passes_the_configured_tolerance(tmp_path, monkeypatch):
+    """Both solve levels take ``tolerances.constraint`` as it is configured."""
+    from trinion import cli
+    from trinion.orbits import NoSolution
+
+    seen = []
+    monkeypatch.setattr(cli, "solve_moment_kstar",
+                        lambda *a, tol, **k: seen.append(tol) or NoSolution(1.0, 1))
+    cfg = _write_json(tmp_path / "c.json", {"tolerances": {"constraint": 1e-12}})
+    assert run(["--config", cfg, "solve", "kstar"]) == 1
+    assert seen == [1e-12]
+
+
 def test_map_xi_and_chi(tmp_path):
     out = tmp_path / "xi.json"
     assert run(["--out", str(out), "map", "xi"]) == 0

@@ -1,8 +1,10 @@
+import dataclasses
 import importlib
 import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trinion.decompositions import e_map
 from trinion.errors import EvaluationError
@@ -10,9 +12,10 @@ from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
 from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, OrbitPoint,
-                            _damped_steps, _kstar_callbacks, _levenberg_marquardt, _solve,
-                            _zero_callbacks, diag_coadjoint, diag_dressing, gauge_fix,
-                            kk_bracket, solve_moment_kstar, solve_moment_zero, tangent_rank)
+                            _damped_steps, _dressed, _dressing_jacobian, _kstar_callbacks,
+                            _levenberg_marquardt, _solve, _zero_callbacks, diag_coadjoint,
+                            diag_dressing, gauge_fix, kk_bracket, solve_moment_kstar,
+                            solve_moment_zero, tangent_rank)
 
 RNG = np.random.default_rng(11)
 CTX2 = build_algebra(2)
@@ -274,6 +277,48 @@ def test_tangent_rank_dual_level():
     assert tangent_rank(CTX2, sol) == 0
 
 
+@pytest.mark.parametrize("t", [0.3, 0.7, 1.0, 2.0])
+def test_tangent_rank_dual_level_n3(t):
+    """The unit-product level has the zero level's dimension at n = 3, in every gauge;
+    the count reads only the dual-group points, not the witnesses."""
+    hs = [weyl_normalize(v) for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
+                                      [0.45, 0.05, -0.5])]
+    sol = solve_moment_kstar(CTX3, *hs, t=t, seed=13)
+    bare = dataclasses.replace(sol, points=[dataclasses.replace(p, witness=None)
+                                            for p in sol.points])
+    assert [tangent_rank(CTX3, s) for s in (sol, gauge_fix(CTX3, sol), bare)] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_dressing_jacobian_matches_central_differences(n, twisted, t):
+    """The closed-form Jacobian and slot derivatives against central differences
+    of the dressed triples under ``k_i -> exp(±h t_b) k_i``, h = 1e-6."""
+    ctx, rng, h = build_algebra(n), np.random.default_rng((n, twisted)), 1e-6
+    u = None
+    if twisted:
+        a = rng.normal(size=(n - 1, n - 1))
+        u = np.triu(a, 1) - np.triu(a, 1).T
+    hs = [weyl_normalize(v - v.mean()) for v in rng.normal(0.0, 0.3, (3, n))]
+    bases = np.array([e_map(ctx, hh.matrix, t, u).matrix for hh in hs])
+    ks = ctx.random_unitary(rng, (2, 3))
+    mats = _dressed(ctx, bases, ks, u)
+    jac, slots = _dressing_jacobian(ctx, mats, u)
+    steps = np.array([[expm(s * h * tb) for tb in ctx.compact_basis] for s in (1, -1)])
+    ref = np.zeros((2, 3, ctx.dim_compact, n, n), complex)
+    for i in range(3):  # move slot i of each stacked triple, both signs and every t_b at once
+        moved = _dressed(ctx, bases[i], steps @ ks[:, None, None, i], u)
+        ref[:, i] = (moved[:, 0] - moved[:, 1]) / (2 * h)
+    prods = [ref[:, 0] @ mats[:, None, 1] @ mats[:, None, 2],
+             mats[:, None, 0] @ ref[:, 1] @ mats[:, None, 2],
+             mats[:, None, 0] @ mats[:, None, 1] @ ref[:, 2]]
+    ref_jac = np.concatenate([p.reshape(2, ctx.dim_compact, -1).view(float) for p in prods],
+                             axis=1).swapaxes(-1, -2)
+    assert np.max(np.abs(slots - ref)) <= 1e-7 * np.max(np.abs(ref))
+    assert np.max(np.abs(jac - ref_jac)) <= 1e-7 * np.max(np.abs(ref_jac))
+
+
 # ---------------------------------------------------------------------------
 # the stacked restarts
 # ---------------------------------------------------------------------------
@@ -382,6 +427,24 @@ def test_horn_margin_matches_the_solver_at_n3():
         assert isinstance(sol, MomentSolution) == (margin > 0), [h.theta for h in hs]
         counts[margin > 0] += 1
     assert min(counts.values()) >= 10
+
+
+def test_feasible_residual_record_reads_the_returned_points(monkeypatch):
+    """The n = 2 feasible-residual record fails when a returned point misses the zero sum."""
+    verify = importlib.import_module("trinion.verify")
+    solve = verify.solve_moment_zero
+
+    def perturbed(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        if isinstance(sol, MomentSolution):
+            sol.points[0].X = sol.points[0].X + 1e-6 * CTX2.compact_basis[0]
+        return sol
+
+    record = {r.name: r for r in verify.suite_moment_oracle(grid=2)}["moment.feasible_residual.n2"]
+    assert record.status and record.residual > 0.0
+    monkeypatch.setattr(verify, "solve_moment_zero", perturbed)
+    record = {r.name: r for r in verify.suite_moment_oracle(grid=2)}["moment.feasible_residual.n2"]
+    assert not record.status
 
 
 # (seed, count, lo, hi) of the xi_geometry, chi_side and dimension suites at seed 0
