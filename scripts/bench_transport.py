@@ -23,7 +23,10 @@ pinned to one thread:
   of the enclosing transport call).  The counters are exact and repeat from
   run to run; they are read by wrapping the private functions, so a call
   to them must keep the widths as its fourth argument and return the
-  errors last.
+  errors last, and ``_expm_stack`` must take the stack first.  Beside them,
+  ``minor_faults`` and ``system_s``: the process's minor page faults and
+  system CPU seconds per pass (``resource.getrusage``) over passes 1-3, after
+  pass 0 has warmed the process up.  They depend on the host's allocator.
 * ``peak_traced_bytes``: the peak of the memory ``tracemalloc`` traces
   during one ``_transport`` call, above what was traced before it: a
   33-connection stack along ``double_wind`` (the goldman stack at n = 3)
@@ -44,6 +47,7 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -106,23 +110,33 @@ def goldman_counts(holonomy, seed, passes):
         counts["accepted_panels"] += int(np.sum(out[-1] <= goal))
         return out
 
-    def counted_expm(a):
+    def counted_expm(a, *workspace):
         counts["expm_matrices"] += a.size // a.shape[0] ** 2
-        return expm(a)
+        return expm(a, *workspace)
 
     holonomy._transport = counted_transport
     holonomy._step_doubling = counted_step_doubling
     holonomy._expm_stack = counted_expm
+    faults, system = 0, 0.0
     try:
         env = workloads.build_context()
-        for i in range(passes):
+        for i in range(passes + 1):  # counted over passes 0 to passes - 1, faults over 1 to passes
+            if i == passes:
+                counted = dict(counts)
+            before = resource.getrusage(resource.RUSAGE_SELF)
             for call in workloads.WORKLOADS["goldman"].make_pass(env, seed, i):
                 if not all(r.residual <= r.tolerance for r in call.fn()):
                     raise SystemExit(f"bench_transport: a check of {call.label} failed")
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            if i:
+                faults += after.ru_minflt - before.ru_minflt
+                system += after.ru_stime - before.ru_stime
     finally:
         holonomy._transport, holonomy._step_doubling = transport, step_doubling
         holonomy._expm_stack = expm
-    return {k: v / passes for k, v in counts.items()} | {"passes": passes, "seed": seed}
+    return ({k: v / passes for k, v in counted.items()} | {"passes": passes, "seed": seed}
+            | {"minor_faults": faults / passes, "system_s": round(system / passes, 4),
+               "fault_passes": list(range(1, passes + 1))})
 
 
 def peak_traced_bytes(holonomy, lie_core):

@@ -10,8 +10,13 @@ combination of ten fixed brackets of the residues.  Panels are refined by step
 doubling until the error per unit parameter length is at most ``tol``, in one
 loop over every segment of every path of a call whose rounds each exponentiate
 a budget of matrices in one stack; each path's resolved panels are folded in as
-product trees.  ``Omega`` is traceless, so holonomies have unit determinant up
-to rounding, and constant gauge transformations conjugate them.
+product trees.  Every stack of the kernel (exponents, propagators, products and
+the panels held between rounds) lives in a workspace kept across calls, one per
+thread (``lie_core._workspace``): its buffers grow lazily to the largest round
+seen and are reused after that, and the kernel's results are views of them that
+stay valid until the next kernel call.  ``Omega`` is traceless, so holonomies
+have unit determinant up to rounding, and constant gauge transformations
+conjugate them.
 
 Orientation conventions, fixed by the spectral targets: the catalogue hole
 loops around +1 and -1 run clockwise and the outer loop counterclockwise,
@@ -21,6 +26,7 @@ and makes the catalogue-order word ``gamma1 gamma2 gamma3`` contractible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field
 from functools import reduce
 
@@ -28,7 +34,7 @@ import numpy as np
 
 from ._serialize import is_number
 from .errors import ConstraintViolated, GeometryError, PoleTooClose, SchemaError, ToleranceNotMet
-from .lie_core import _expm_stack, _stack_product
+from .lie_core import _expm_stack, _result_columns, _stack_product, _workspace
 
 __all__ = [
     "LineSegment",
@@ -95,11 +101,15 @@ class ArcSegment:
     a1: float
 
     def z(self, s):
-        return self.center + self.radius * np.exp(1j * (self.a0 + s * (self.a1 - self.a0)))
+        return self._z_dz(s)[0]
 
     def dz(self, s):
-        return 1j * (self.a1 - self.a0) * self.radius * np.exp(
-            1j * (self.a0 + s * (self.a1 - self.a0)))
+        return self._z_dz(s)[1]
+
+    def _z_dz(self, s):
+        """``z`` and ``dz`` at ``s`` from one exponential."""
+        turn = np.exp(1j * (self.a0 + s * (self.a1 - self.a0)))
+        return self.center + self.radius * turn, 1j * (self.a1 - self.a0) * self.radius * turn
 
     def reflect(self):
         return ArcSegment(np.conj(self.center), self.radius, -self.a0, -self.a1)
@@ -281,14 +291,14 @@ _CHUNK = 1536
 
 
 def _bracket_basis(x1s, x2s):
-    """``X1, X2`` and the eight brackets that span every panel exponent, ``(10, B, n, n)``."""
+    """``X1, X2`` and the eight brackets that span every panel exponent, ``(n, n, B, 10)``."""
     def br(a, b):
         return a @ b - b @ a
 
     k = br(x1s, x2s)
     l1, l2 = br(x1s, k), br(x2s, k)
     return np.stack([x1s, x2s, k, l1, l2, br(x1s, l1), br(x1s, l2), br(x2s, l2),
-                     br(k, l1), br(k, l2)])
+                     br(k, l1), br(k, l2)], axis=-1).transpose(1, 2, 0, 3).copy()
 
 
 def _omega_coefficients(p, q):
@@ -320,58 +330,73 @@ def _table_points(table, g, s):
     """``z`` and ``dz`` at parameters ``s``, ``(P, k)``, on the rows ``g`` of a segment table.
 
     The rows of each kind form one segment whose fields are columns, so the
-    segments' own ``z`` and ``dz`` evaluate all panels at once.
+    segments' own ``z`` and ``dz`` evaluate all panels at once; an arc's two
+    share one exponential.
     """
     arc, points, reals = table
     (start, end, center), (radius, a0, a1) = points[:, g, None], reals[:, g, None]
-    line, circle, on = LineSegment(start, end), ArcSegment(center, radius, a0, a1), arc[g, None]
-    return np.where(on, circle.z(s), line.z(s)), np.where(on, circle.dz(s), line.dz(s))
+    line, on = LineSegment(start, end), arc[g, None]
+    z, dz = ArcSegment(center, radius, a0, a1)._z_dz(s)
+    return np.where(on, z, line.z(s)), np.where(on, dz, line.dz(s))
 
 
-def _magnus_propagators(table, g, s0, h, basis, scale):
+def _magnus_propagators(table, g, s0, h, basis, scale, ws):
     """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of segment table rows ``g_i``,
-    ``(n, n, B, P)``."""
+    ``(n, n, B, P)``, from the ``_bracket_basis``; a view of the workspace ``ws``."""
     s = s0[:, None] + h[:, None] * _GL_NODES
     z, dz = _table_points(table, g, s)
     w = (-scale) * dz * h[:, None]
     coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
-    omega, n = basis.transpose(2, 3, 1, 0).reshape(-1, len(basis)) @ coef.T, basis.shape[-1]
-    del s, z, dz, w, coef  # before the exponential takes its stack-sized temporaries
+    lead = basis.shape[:3]
+    omega = np.matmul(basis.reshape(-1, basis.shape[-1]), coef.T,
+                      out=ws.take("x", (math.prod(lead), len(s0))))
     if not (finite := np.isfinite(omega).all(axis=0)).all():  # the segment goes with the error
         raise ToleranceNotMet("non-finite transport state", g[np.argmin(finite)])
-    return _expm_stack(omega.reshape(n, n, -1)).reshape(n, n, -1, len(s0))
+    return _expm_stack(omega.reshape(lead[:2] + (-1,)), ws).reshape(lead + (len(s0),))
 
 
-def _step_doubling(table, g, s0, h, known, prior, basis, scale):
-    """Products of the panels' halves, the halves ``(n, n, B, 2P)``, and the step-doubling errors.
+def _step_doubling(table, g, s0, h, known, prior, basis, scale, ws):
+    """Products of the panels' halves ``(n, n, B, P)``, the propagators ``(n, n, B, 3P - K)``
+    whose first ``2P`` are the halves, and the step-doubling errors; both stacks are views of
+    the workspace ``ws``.
 
-    Panels marked ``known`` take their one-panel propagators from ``prior``.  An error is the
-    largest entry of |two-half - one-panel| over the batch over the larger of the two, at most 2."""
+    The ``K`` panels marked ``known`` take their one-panel propagators from ``prior``.  An error
+    is the largest entry of |two-half - one-panel| over the batch over the larger of the two,
+    at most 2."""
     m, fresh = len(s0), ~known
     with np.errstate(over="ignore", invalid="ignore"):
         e = _magnus_propagators(table, np.concatenate([g, g, g[fresh]]),
                                 np.concatenate([s0, s0 + h / 2, s0[fresh]]),
-                                np.concatenate([h / 2, h / 2, h[fresh]]), basis, scale)
-        one = np.empty_like(e[..., :m])
+                                np.concatenate([h / 2, h / 2, h[fresh]]), basis, scale, ws)
+        shape = e.shape[:3] + (m,)
+        one = ws.take("x", shape)
         one[..., fresh], one[..., known] = e[..., 2 * m:], prior
-        prod = _stack_product(e[..., m:2 * m], e[..., :m], np.empty_like(one))
-        size = np.maximum(np.abs(prod).max(axis=(0, 1, 2)), np.abs(one).max(axis=(0, 1, 2)))
-        err = np.abs(prod - one).max(axis=(0, 1, 2)) / np.maximum(1.0, size)
+        tmp, mag = ws.take("t", shape), ws.take("p1", shape, float)
+        prod = _stack_product(e[..., m:2 * m], e[..., :m], tmp, ws.take("p0", shape))
+        size = np.maximum(np.abs(prod, out=mag).max(axis=(0, 1, 2)),
+                          np.abs(one, out=mag).max(axis=(0, 1, 2)))
+        err = np.abs(np.subtract(prod, one, out=tmp), out=mag).max(axis=(0, 1, 2))
+        err /= np.maximum(1.0, size)
     # a panel too coarse for its exponential to be finite is as unresolved as can be
-    return prod, e[..., :2 * m], np.where(np.isfinite(err), err, 2.0)
+    return prod, e, np.where(np.isfinite(err), err, 2.0)
 
 
-def _tree_product(props, runs):
-    """Product of each run of equal adjacent ``runs`` in a stack ``(n, n, ..., m)`` (overwritten)
-    as a pairwise product tree, the run's first matrix rightmost: ``(n, n, ..., runs)``."""
+def _tree_product(props, at, runs, ws):
+    """Product of each run of equal adjacent ``runs`` of the factors ``props[..., at]``, from a
+    contiguous stack ``(n, n, ..., m)``, as a pairwise product tree, the run's first matrix
+    rightmost: ``(n, n, ..., runs)``, a view of the workspace ``ws``.  A product overwrites its
+    right factor in ``props``."""
     while (same := runs[1:] == runs[:-1]).any():
         i = np.arange(len(runs))
         lead = (i - np.maximum.accumulate(np.where(np.append(True, ~same), i, 0))) % 2 == 0
         pair = np.flatnonzero(lead & np.append(same, False))  # even places with a successor
-        props[..., pair] = _stack_product(props[..., pair + 1], (a := props[..., pair]),
-                                          np.empty_like(a))
-        props, runs = props[..., lead], runs[lead]
-    return props
+        shape = props.shape[:-1] + (len(pair),)
+        a = np.take(props, at[pair], axis=-1, out=ws.take("p0", shape), mode="clip")
+        b = np.take(props, at[pair + 1], axis=-1, out=ws.take("p1", shape), mode="clip")
+        props[..., at[pair]] = _stack_product(b, a, ws.take("t", shape), ws.take("x2", shape))
+        at, runs = at[lead], runs[lead]
+    return np.take(props, at, axis=-1, out=ws.take("x2", props.shape[:-1] + (len(at),)),
+                   mode="clip")
 
 
 def _transport(x1s, x2s, scale, paths, tol):
@@ -385,7 +410,9 @@ def _transport(x1s, x2s, scale, paths, tol):
     parts (the local error scales as ``h^7``); parts of a panel split in two reuse its
     halves.  Resolved panels are held until they make ``_CHUNK`` matrices or the table
     empties, then each path's resolved prefix is folded in as one product tree.  Overflow
-    at a fold ends the transport, which bounds the work any input can cause.
+    at a fold ends the transport, which bounds the work any input can cause.  The rounds
+    write every stack, the held panels and the one-panel propagators of split panels into
+    the thread's workspace, fetched once per call.
     """
     names = [p.name if isinstance(p, Contour) else f"path {i}" for i, p in enumerate(paths)]
     paths = [p.segments if isinstance(p, Contour) else list(p) for p in paths]
@@ -397,21 +424,30 @@ def _transport(x1s, x2s, scale, paths, tol):
                                f"{d:.4f} from a pole (margin {POLE_MARGIN})")
     table = _segment_table(segs)
     basis = _bracket_basis(np.asarray(x1s, dtype=complex), np.asarray(x2s, dtype=complex))
-    n, stack = basis.shape[-1], basis.shape[1]
+    lead = basis.shape[:3]
+    n, stack, ws = lead[0], lead[2], _workspace()
     psi = np.tile(np.eye(n, dtype=complex)[:, :, None, None], (1, 1, stack, len(paths)))
     g, s0, h = np.arange(len(segs)), np.zeros(len(segs)), np.ones(len(segs))
-    has, store = np.zeros(len(segs), bool), psi[..., :0]  # rows holding a one-panel propagator
-    held = []  # resolved (segments, starts, propagators) not yet folded
+    # rows holding a one-panel propagator; the propagators are the first ``stored`` columns of
+    # the workspace's "store", the first such row's last
+    has, stored, store = np.zeros(len(segs), bool), 0, ws.columns("store", lead, 0, 0)
+    # resolved panels not yet folded, their propagators in the workspace's "held"
+    hg, hs, hp = np.zeros(0, int), np.zeros(0), ws.columns("held", lead, 0, 0)
     while len(g):
         k = max(1, np.searchsorted(np.cumsum(3 - has) * (stack + 1), _CHUNK, "right"))
         c = has[:k].sum()
         try:
             props, halves, err = _step_doubling(table, g[:k], s0[:k], h[:k], has[:k],
-                                                store[..., :c], basis, scale)
+                                                store[..., stored - c:stored][..., ::-1],
+                                                basis, scale, ws)
         except ToleranceNotMet as exc:
             raise ToleranceNotMet(f"{names[owner[exc.args[1]]]}: {exc.args[0]}") from None
         ok = err <= (goal := np.maximum(tol * h[:k], _ROUNDOFF))
-        held.append((g[:k][ok], s0[:k][ok], props[..., ok]))
+        acc = np.flatnonzero(ok)
+        hp = ws.columns("held", lead, len(hg) + len(acc), len(hg))
+        hp[..., len(hg):len(hg) + len(acc)] = np.take(props, acc, axis=-1, mode="clip",
+                                                      out=ws.take("x", lead + (len(acc),)))
+        hg, hs = np.append(hg, g[acc]), np.append(hs, s0[acc])
         # a rejected panel is replaced by its parts, a resolved one leaves the table
         parts = np.where(ok, 0, np.maximum(2, np.ceil((err / goal) ** (1.0 / 6.0))).astype(int))
         w = h[:k] / np.maximum(parts, 1)
@@ -419,29 +455,36 @@ def _transport(x1s, x2s, scale, paths, tol):
             raise ToleranceNotMet(names[owner[g[thin.argmax()]]] + ": adaptive panel width underflow")
         j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
         two = parts == 2  # the halves of a panel split in two go to its parts
-        store = np.concatenate([halves[..., (np.flatnonzero(two) + [[0], [k]]).T.ravel()],
-                                store[..., c:]], axis=-1)
+        top = (np.flatnonzero(two) + [[0], [k]]).T.ravel()[::-1]
+        stored -= c
+        store = ws.columns("store", lead, stored + len(top), stored)
+        store[..., stored:stored + len(top)] = _result_columns(halves, top,
+                                                               ws.take("x", lead + (len(top),)))
+        stored += len(top)
         has = np.append(np.repeat(two, parts), has[k:])
         g, s0, h = (np.concatenate([np.repeat(g[:k], parts), g[k:]]),
                     np.concatenate([np.repeat(s0[:k], parts) + j * np.repeat(w, parts), s0[k:]]),
                     np.concatenate([np.repeat(w, parts), h[k:]]))
-        del props, halves  # a fold may take as much memory again
-        if len(g) and sum(len(q) for q, _, _ in held) * stack < _CHUNK:
+        if len(g) and len(hg) * stack < _CHUNK:
             continue
         # fold the held panels before their path's front, its first table row (past the end if none)
-        hg, hs, hp = (np.concatenate(col, axis=-1) for col in zip(*held))
         first = np.flatnonzero(np.diff(owner[g], prepend=-1))
         fg, fs = np.full(len(paths), len(segs)), np.zeros(len(paths))
         fg[owner[g[first]]], fs[owner[g[first]]] = g[first], s0[first]
         ready = (hg < fg[ho := owner[hg]]) | ((hg == fg[ho]) & (hs < fs[ho]))
         order = np.flatnonzero(ready)[np.lexsort((hs[ready], hg[ready]))]
-        held, runs = [(hg[~ready], hs[~ready], hp[..., ~ready])], ho[order]
+        runs, keep = ho[order], np.flatnonzero(~ready)
         on = runs[np.flatnonzero(np.diff(runs, prepend=-1))]
         with np.errstate(over="ignore", invalid="ignore"):
-            tree = _tree_product(hp[..., order], runs)
-            psi[..., on] = _stack_product(tree, psi[..., on], np.empty_like(tree))
-        if not (finite := np.isfinite(psi[..., on]).all(axis=(0, 1, 2))).all():
+            tree = _tree_product(hp, order, runs, ws)
+            start = np.take(psi, on, axis=-1, mode="clip", out=ws.take("p0", tree.shape))
+            psi[..., on] = end = _stack_product(tree, start, ws.take("t", tree.shape),
+                                                ws.take("p1", tree.shape))
+        if not (finite := np.isfinite(end).all(axis=(0, 1, 2))).all():
             raise ToleranceNotMet(f"{names[on[np.argmin(finite)]]}: holonomy overflows")
+        hp[..., :len(keep)] = np.take(hp, keep, axis=-1, mode="clip",
+                                      out=ws.take("p0", lead + (len(keep),)))
+        hg, hs = hg[keep], hs[keep]
     return np.ascontiguousarray(psi.transpose(3, 2, 0, 1))
 
 

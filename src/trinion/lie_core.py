@@ -18,6 +18,8 @@ The classical r-matrices live in the real tensor square and are stored as
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,34 +82,90 @@ _PADE = [
 ]
 
 
-def _stack_product(x, y, tmp):
-    """Products over stacks held as ``(n, n, M)``; ``tmp`` is scratch of the product's shape."""
-    out = x[:, 0, None] * y[0]
+class _Workspace:
+    """Scratch stacks of the transport kernel, kept across calls.
+
+    A slot is a flat buffer, made on its first request and remade whenever a
+    request needs more bytes than it has; it never shrinks.  ``take`` returns
+    the buffer's first bytes as a C-contiguous array of the requested shape and
+    dtype, so a view stays valid until the next request for its slot.
+
+    ``_expm_stack`` overwrites the slots ``x`` (its input), ``t``, ``x2``,
+    ``p0``, ``p1`` and ``aug`` (its result); its callers use the same slots
+    between its calls, and give what they keep across calls other names.
+    """
+
+    def __init__(self):
+        self.slots = {}
+
+    def take(self, slot, shape, dtype=complex):
+        try:
+            return np.ndarray(shape, dtype, self.slots[slot])
+        except (KeyError, TypeError):  # a first request, or one larger than any before
+            self.slots[slot] = np.empty(math.prod(shape), dtype)
+            return np.ndarray(shape, dtype, self.slots[slot])
+
+    def columns(self, slot, lead, need, used):
+        """The slot as a complex ``lead + (cap,)`` with ``cap >= need``; when it has to grow,
+        its first ``used`` columns in that layout move to the new buffer."""
+        old = self.slots.get(slot, np.empty(0))
+        cap = old.nbytes // (16 * math.prod(lead))
+        if cap < need:
+            new = self.slots[slot] = np.empty(lead + (need,), complex)
+            new[..., :used] = np.ndarray(lead + (cap,), complex, old)[..., :used]
+            return new
+        return np.ndarray(lead + (cap,), complex, old)
+
+
+_LOCAL = threading.local()
+
+
+def _workspace():
+    """This thread's workspace, made on first use (the kernels are not re-entrant)."""
+    if not hasattr(_LOCAL, "workspace"):
+        _LOCAL.workspace = _Workspace()
+    return _LOCAL.workspace
+
+
+def _stack_product(x, y, tmp, out):
+    """Products over stacks held as ``(n, n, M)``, written to ``out``; ``tmp`` is scratch of
+    the product's shape."""
+    np.multiply(x[:, 0, None], y[0], out=out)
     for k in range(1, len(x)):
         out += np.multiply(x[:, k, None], y[k], out=tmp)
     return out
 
 
-def _stack_solve(a):
+def _stack_solve(a, ws):
     """``P^-1 Q`` in place for ``a = [P | Q]``, ``(n, 2n, M)``, by Gaussian elimination with
-    LAPACK's pivots: per matrix, the first entry of largest ``|re| + |im|`` in the column."""
-    n = len(a)
+    LAPACK's pivots: per matrix, the first entry of largest ``|re| + |im|`` in the column.
+
+    Each step is one operation over both halves: under other shapes and strides numpy's
+    complex products can take another loop and round differently in the last bit."""
+    n, m = len(a), a.shape[-1]
     for j in range(n):
-        piv = np.argmax(np.abs(a[j:, j].real) + np.abs(a[j:, j].imag), axis=0)
+        mag = ws.take("x2", (2, n - j, m), float)
+        np.abs(a[j:, j].real, out=mag[0])
+        piv = np.argmax(np.add(mag[0], np.abs(a[j:, j].imag, out=mag[1]), out=mag[0]), axis=0)
         for i in range(1, n - j):
-            swap = piv == i
-            if swap.any():
-                a[j, :, swap], a[j + i, :, swap] = a[j + i, :, swap], a[j, :, swap]
-        a[j + 1:, j + 1:] -= (a[j + 1:, j] / a[j, j])[:, None] * a[j, j + 1:]
+            if (swap := piv == i).any():
+                row = ws.take("t", (2 * n, m))
+                np.copyto(row, a[j])
+                np.copyto(a[j], a[j + i], where=swap)
+                np.copyto(a[j + i], row, where=swap)
+        f = np.divide(a[j + 1:, j], a[j, j], out=ws.take("x", (n - j - 1, m)))
+        a[j + 1:, j + 1:] -= np.multiply(f[:, None], a[j, j + 1:],
+                                         out=ws.take("t", (n - j - 1, 2 * n - j - 1, m)))
+    tmp = ws.take("t", (n, m))
     for i in reversed(range(n)):
         for k in range(i + 1, n):
-            a[i, n:] -= a[i, k] * a[k, n:]
+            a[i, n:] -= np.multiply(a[i, k], a[k, n:], out=tmp)
         a[i, n:] /= a[i, i]
     return a[:, n:]
 
 
 def _expm(a):
-    """Matrix exponential of every matrix of a stack ``(..., n, n)``.
+    """Matrix exponential of every matrix of a complex stack ``(..., n, n)``, a new array.
 
     Uses the Pade approximant of lowest degree whose bound covers the largest
     1-norm in the stack, and scaling and squaring beyond the degree-13 bound
@@ -116,39 +174,58 @@ def _expm(a):
     operations over all ``M`` matrices.
     """
     shape, n = np.shape(a), np.shape(a)[-1]
-    r = _expm_stack(np.reshape(a, (-1, n, n)).transpose(1, 2, 0).copy())  # (n, n, M)
-    return np.ascontiguousarray(r.transpose(2, 0, 1)).reshape(shape)
+    ws = _workspace()
+    x = ws.take("x", (n, n, math.prod(shape[:-2])))
+    x[...] = np.reshape(a, (-1, n, n)).transpose(1, 2, 0)
+    return _expm_stack(x, ws).transpose(2, 0, 1).copy().reshape(shape)
 
 
-def _expm_stack(x):
-    """``_expm`` of a contiguous ``(n, n, M)`` stack, scaled in place; a view in that layout."""
-    n, norm = len(x), np.abs(x).sum(axis=0).max(axis=0)
+def _expm_stack(x, ws):
+    """``_expm`` of a contiguous ``(n, n, M)`` stack, scaled in place, in the layout.
+
+    Its stacks are slots of the workspace ``ws``, kept across calls and sized
+    lazily: a slot grows only for a stack larger than any before it, so a warm
+    call allocates nothing of the stack's size.  ``x`` may be the ``"x"`` slot,
+    which only the elimination's multipliers reuse once ``x`` is spent.  The
+    result is a view of the ``"aug"`` slot, valid until the next kernel call.
+    """
+    n = len(x)
+    norm = np.abs(x, out=ws.take("p1", x.shape, float))
+    norm = norm.sum(axis=0, out=ws.take("x2", norm.shape[1:], float)).max(axis=0)
     top = norm.max(initial=0.0)
     theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
     s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
     if s.any():
         x *= 0.5 ** s
-    # few stack-sized arrays alive at once: the odd and even parts are built in [P | Q]
-    tmp, aug, diag = np.empty_like(x), np.empty((n, 2 * n) + x.shape[2:], x.dtype), np.arange(n)
-    x2 = _stack_product(x, x, tmp)
+    # the odd and even parts are built in [P | Q]
+    tmp, aug = ws.take("t", x.shape), ws.take("aug", (n, 2 * n) + x.shape[2:])
+    x2 = _stack_product(x, x, tmp, ws.take("x2", x.shape))
     odd, even = np.multiply(x2, b[3], out=aug[:, :n]), np.multiply(x2, b[2], out=aug[:, n:])
-    odd[diag, diag], even[diag, diag] = odd[diag, diag] + b[1], even[diag, diag] + b[0]
-    power = x2
-    for j in range(4, len(b), 2):
-        power = _stack_product(power, x2, tmp)
+    for i in range(n):
+        odd[i, i] += b[1]
+        even[i, i] += b[0]
+    power, spare = x2, (ws.take("p0", x.shape), ws.take("p1", x.shape))
+    for i, j in enumerate(range(4, len(b), 2)):
+        power = _stack_product(power, x2, tmp, spare[i % 2])
         even += np.multiply(power, b[j], out=tmp)
         odd += np.multiply(power, b[j + 1], out=tmp)
-    del x2, power
-    u = _stack_product(x, odd, tmp)
+    u = _stack_product(x, odd, tmp, x2)
     np.subtract(even, u, out=odd)
     even += u
-    del x, tmp, u
-    r = _stack_solve(aug)
+    r = _stack_solve(aug, ws)
     for k in range(int(s.max(initial=0))):
-        sq = s > k
-        rs = r[..., sq]
-        r[..., sq] = _stack_product(rs, rs, np.empty_like(rs))
+        sq = np.flatnonzero(s > k)
+        rs = _result_columns(r, sq, ws.take("p0", (n, n, len(sq))))
+        r[..., sq] = _stack_product(rs, rs, ws.take("t", rs.shape), ws.take("p1", rs.shape))
     return r
+
+
+def _result_columns(r, idx, out):
+    """Columns ``idx`` of the last axis of ``r``, a result of ``_expm_stack``, copied to the
+    contiguous ``out``; each ``r[i]`` is contiguous, so no copy of ``r`` is made."""
+    for row, dest in zip(r, out):
+        np.take(row, idx, axis=-1, out=dest, mode="clip")
+    return out
 
 
 class AlgebraContext:

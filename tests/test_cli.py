@@ -134,6 +134,18 @@ def test_solve_kstar_non_finite_state(capsys, t):
     assert captured.err.startswith("error: non-finite") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("level", ["zero", "kstar"])
+def test_solve_huge_spectra_exit_1(tmp_path, capsys, level):
+    """Spectra of size 1e300 overflow either solver's state from the start: one error line,
+    exit 1, and no numpy warning."""
+    cfg = _write_json(tmp_path / "c.json", {"thetas": [[1e300, -1e300]] * 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", cfg, "solve", level]) == 1
+    err = capsys.readouterr().err
+    assert "Warning" not in err and len(err.splitlines()) == 1, err
+
+
 def test_solve_kstar(tmp_path):
     out = tmp_path / "sol.json"
     code = run(["--out", str(out), "--t", "0.7", "solve", "kstar"])

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from trinion.errors import (ConstraintViolated, GeometryError, PoleTooClose,
                             SchemaError, ToleranceNotMet)
 from trinion.holonomy import (_SIGMA_ODE_TOL, ArcSegment, Contour, LineSegment,
                               RationalConnection, _cut, _holonomies, _rebased, _sigma_residual,
+                              _transport,
                               builtin_catalogue, hole_conjugacy_check, holonomy, holonomy_batch,
                               load_catalogue, resolved_segments, word_segments, xi_map)
-from trinion.lie_core import build_algebra, weyl_normalize
+from trinion.lie_core import _expm, build_algebra, weyl_normalize
 from trinion.orbits import solve_moment_zero
 
 from rk45_reference import dp_holonomy
@@ -129,6 +131,7 @@ def test_integrator_order():
     # the panel rule itself is sixth order: doubling uniform panels cuts the
     # error by about 2^6 (adaptive refinement would hide a lower order)
     from trinion.holonomy import _bracket_basis, _magnus_propagators, _segment_table
+    from trinion.lie_core import _workspace
 
     basis = _bracket_basis(conn.X1[None], conn.X2[None])
 
@@ -136,7 +139,7 @@ def test_integrator_order():
         psi = np.eye(3, dtype=complex)
         for seg in eight.segments:
             e = _magnus_propagators(_segment_table([seg]), np.zeros(m, int), np.arange(m) / m,
-                                    np.full(m, 1.0 / m), basis, conn.scale)
+                                    np.full(m, 1.0 / m), basis, conn.scale, _workspace())
             for j in range(m):  # the propagators come as (n, n, B, panels)
                 psi = e[:, :, 0, j] @ psi
         return psi
@@ -172,6 +175,7 @@ def test_segment_table_is_each_segments_own_z_and_dz():
 def test_tree_product_matches_left_fold():
     """The pairwise product tree equals the path-ordered product, first factor rightmost."""
     from trinion.holonomy import _tree_product
+    from trinion.lie_core import _workspace
 
     rng = np.random.default_rng(23)
 
@@ -185,7 +189,8 @@ def test_tree_product_matches_left_fold():
         for m in list(range(1, 10)) + [31, 32, 33, 64, 69, 70]:
             z = rng.normal(size=(m, 2, n, n)) + 1j * rng.normal(size=(m, 2, n, n))
             mats = np.eye(n) + 0.05 * z
-            got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.zeros(m, int))
+            got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.arange(m), np.zeros(m, int),
+                                _workspace())
             want = left_fold(mats)
             assert got.shape == (n, n, 2, 1)
             err = np.linalg.norm(got[..., 0].transpose(2, 0, 1) - want)
@@ -194,7 +199,8 @@ def test_tree_product_matches_left_fold():
         sizes = [1, 2, 5, 8, 1, 13, 4]
         mats = np.eye(n) + 0.05 * (rng.normal(size=(sum(sizes), 2, n, n))
                                    + 1j * rng.normal(size=(sum(sizes), 2, n, n)))
-        got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.repeat(np.arange(7), sizes))
+        got = _tree_product(mats.transpose(2, 3, 1, 0).copy(), np.arange(sum(sizes)),
+                            np.repeat(np.arange(7), sizes), _workspace())
         bounds = np.cumsum([0] + sizes)
         for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             want = left_fold(mats[a:b])
@@ -229,6 +235,62 @@ def test_round_budget_invariance(monkeypatch):
     monkeypatch.setattr(module, "_CHUNK", 18)
     for got, want in zip(transports(), default):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _stacks(ctx, rng, count):
+    return (np.array([ctx.random_compact(rng, 0.12) for _ in range(count)]),
+            np.array([ctx.random_compact(rng, 0.12) for _ in range(count)]))
+
+
+def test_expm_results_outlive_the_workspace():
+    """``_expm`` returns new arrays: later kernel calls, on another stack or in a transport,
+    leave earlier results and the cached finite-difference exponentials as they were."""
+    rng = np.random.default_rng(43)
+    z = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    first = _expm(z)
+    kept = first.copy()
+    for other in (2.0 * z[::-1], z[:1], 4.0 * rng.normal(size=(40, 3, 3)) + 0j):
+        _expm(other)
+        assert np.array_equal(first, kept)
+    plus, minus = CTX3.fd_exponentials(1e-5)
+    kept = plus.copy(), minus.copy()
+    _transport(*_stacks(CTX3, rng, 33), 1.0, [CAT.contours["double_wind"]], 1e-10)
+    assert np.array_equal(plus, kept[0]) and np.array_equal(minus, kept[1])
+
+
+def test_workspace_growth_keeps_transports(monkeypatch):
+    """Transports whose stacks grow and shrink, n = 2 -> 3 -> 2 with 33 -> 1 -> 33 connections,
+    give the holonomies that each gives alone on a fresh workspace, and in reverse order."""
+    lie_core = importlib.import_module("trinion.lie_core")
+    rng = np.random.default_rng(47)
+    some = [CAT.contours[name] for name in ("double_wind", "eight_narrow", "gamma1")]
+    jobs = [(*_stacks(CTX2, rng, 33), some), (*_stacks(CTX3, rng, 1), list(CAT.contours.values())),
+            (*_stacks(CTX2, rng, 33), some)]
+
+    def run(order):
+        monkeypatch.setattr(lie_core._LOCAL, "workspace", lie_core._Workspace(), raising=False)
+        return {i: _transport(jobs[i][0], jobs[i][1], 1.0, jobs[i][2], 1e-10) for i in order}
+
+    in_turn, backwards = run([0, 1, 2]), run([2, 1, 0])
+    for i in range(3):
+        alone = run([i])[i]
+        assert in_turn[i].tobytes() == alone.tobytes() == backwards[i].tobytes()
+
+
+def test_warm_transport_allocates_no_stacks():
+    """Once the workspace has grown, a 33-connection transport at n = 3 traces only small
+    arrays: every (n, n, M) stack of the kernel, about 0.2 MB here, is a workspace view.
+    Measured peak 0.31 MB (numpy 2.4; 2.0 MB with the stacks allocated per round)."""
+    call = (*_stacks(CTX3, np.random.default_rng(9100), 33), 1.0, [CAT.contours["double_wind"]],
+            1e-10)
+    _transport(*call)
+    tracemalloc.start()
+    try:
+        _transport(*call)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_su2_trace_oracle():
