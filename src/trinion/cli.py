@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _serialize
 from .decompositions import BracketSpace, sklyanin_eval
-from .errors import ConstraintViolated, MissingIntersectionData, SchemaError, TrinionError
+from .errors import (BoundaryOrbit, ConstraintViolated, InvalidSpectrum, MissingIntersectionData,
+                     SchemaError, TrinionError)
 from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
@@ -92,7 +93,10 @@ def validate_config(cfg):
     if not _is_rows(thetas):
         raise SchemaError("thetas must be a list of spectra, each a list of numbers")
     for th in thetas:
-        weyl_normalize(th)
+        try:
+            weyl_normalize(th)
+        except (InvalidSpectrum, BoundaryOrbit) as exc:
+            raise SchemaError(f"thetas: {exc}") from None
     u = cfg["u"]
     square = _is_rows(u) and len(u) == n - 1 and all(len(row) == n - 1 for row in u)
     if u is not None and not (square and np.max(np.abs(np.add(u, np.transpose(u)))) <= 1e-12):

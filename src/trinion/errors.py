@@ -10,7 +10,7 @@ class InvalidRank(TrinionError):
 
 
 class InvalidSpectrum(TrinionError):
-    """Spectrum vector does not sum to zero."""
+    """Spectrum vector has fewer than two entries or does not sum to zero."""
 
 
 class BoundaryOrbit(TrinionError):

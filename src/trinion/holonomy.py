@@ -34,7 +34,7 @@ import numpy as np
 
 from ._serialize import is_number
 from .errors import ConstraintViolated, GeometryError, PoleTooClose, SchemaError, ToleranceNotMet
-from .lie_core import _expm_stack, _result_columns, _stack_product, _workspace
+from .lie_core import _expm_stack, _stack_product, _workspace
 
 __all__ = [
     "LineSegment",
@@ -458,8 +458,8 @@ def _transport(x1s, x2s, scale, paths, tol):
         top = (np.flatnonzero(two) + [[0], [k]]).T.ravel()[::-1]
         stored -= c
         store = ws.columns("store", lead, stored + len(top), stored)
-        store[..., stored:stored + len(top)] = _result_columns(halves, top,
-                                                               ws.take("x", lead + (len(top),)))
+        store[..., stored:stored + len(top)] = np.take(halves, top, axis=-1, mode="clip",
+                                                       out=ws.take("x", lead + (len(top),)))
         stored += len(top)
         has = np.append(np.repeat(two, parts), has[k:])
         g, s0, h = (np.concatenate([np.repeat(g[:k], parts), g[k:]]),

@@ -66,20 +66,11 @@ def _sum_zero_frame(n):
     return np.array(rows)
 
 
-# Pade approximants of degree 3, 5, 7, 9 and 13 with the 1-norm bounds up to
-# which each is accurate to double precision, largest degree last
-_PADE = [
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                         30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (5.371920351148152, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-                         960960.0, 16380.0, 182.0, 1.0)),
-]
+# Taylor degrees m with the 1-norm bounds up to which T_m(X) = sum_k X^k / k! has a backward
+# error of at most 2^-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)), largest degree
+# last; each is the highest degree that Paterson-Stockmeyer reaches with 1 to 6 products
+_TAYLOR = ((2, 2.5809568029717672e-8), (4, 3.3971688399769619e-4), (6, 9.0656564075951024e-3),
+           (9, 8.9577602032233427e-2), (12, 0.29961589138115805), (16, 0.78028742566265743))
 
 
 class _Workspace:
@@ -91,8 +82,9 @@ class _Workspace:
     dtype, so a view stays valid until the next request for its slot.
 
     ``_expm_stack`` overwrites the slots ``x`` (its input), ``t``, ``x2``,
-    ``p0``, ``p1`` and ``aug`` (its result); its callers use the same slots
-    between its calls, and give what they keep across calls other names.
+    ``p0``, ``p1``, ``r0`` and ``r1`` (its result is one of the last two); its
+    callers use the same slots between its calls, and give what they keep
+    across calls other names.
     """
 
     def __init__(self):
@@ -136,42 +128,14 @@ def _stack_product(x, y, tmp, out):
     return out
 
 
-def _stack_solve(a, ws):
-    """``P^-1 Q`` in place for ``a = [P | Q]``, ``(n, 2n, M)``, by Gaussian elimination with
-    LAPACK's pivots: per matrix, the first entry of largest ``|re| + |im|`` in the column.
-
-    Each step is one operation over both halves: under other shapes and strides numpy's
-    complex products can take another loop and round differently in the last bit."""
-    n, m = len(a), a.shape[-1]
-    for j in range(n):
-        mag = ws.take("x2", (2, n - j, m), float)
-        np.abs(a[j:, j].real, out=mag[0])
-        piv = np.argmax(np.add(mag[0], np.abs(a[j:, j].imag, out=mag[1]), out=mag[0]), axis=0)
-        for i in range(1, n - j):
-            if (swap := piv == i).any():
-                row = ws.take("t", (2 * n, m))
-                np.copyto(row, a[j])
-                np.copyto(a[j], a[j + i], where=swap)
-                np.copyto(a[j + i], row, where=swap)
-        f = np.divide(a[j + 1:, j], a[j, j], out=ws.take("x", (n - j - 1, m)))
-        a[j + 1:, j + 1:] -= np.multiply(f[:, None], a[j, j + 1:],
-                                         out=ws.take("t", (n - j - 1, 2 * n - j - 1, m)))
-    tmp = ws.take("t", (n, m))
-    for i in reversed(range(n)):
-        for k in range(i + 1, n):
-            a[i, n:] -= np.multiply(a[i, k], a[k, n:], out=tmp)
-        a[i, n:] /= a[i, i]
-    return a[:, n:]
-
-
 def _expm(a):
     """Matrix exponential of every matrix of a complex stack ``(..., n, n)``, a new array.
 
-    Uses the Pade approximant of lowest degree whose bound covers the largest
-    1-norm in the stack, and scaling and squaring beyond the degree-13 bound
-    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).  The stack is held as
-    ``(n, n, M)``, so every product and elimination step is a few array
-    operations over all ``M`` matrices.
+    Uses the Taylor polynomial of lowest degree whose bound covers the largest
+    1-norm in the stack, and scaling and squaring beyond the degree-16 bound
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)).  The stack is held as
+    ``(n, n, M)``, so every matrix product is a few array operations over all
+    ``M`` matrices, and no linear system is solved.
     """
     shape, n = np.shape(a), np.shape(a)[-1]
     ws = _workspace()
@@ -183,49 +147,49 @@ def _expm(a):
 def _expm_stack(x, ws):
     """``_expm`` of a contiguous ``(n, n, M)`` stack, scaled in place, in the layout.
 
+    The polynomial is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2
+    (1973)): the powers up to ``X^q``, ``q = ceil(sqrt(m))``, then Horner steps
+    in ``X^q`` over blocks of ``q`` coefficients, the top block taking ``X^q``
+    itself.  Each block adds its power terms first and its identity term last,
+    so for a tiny ``X`` each diagonal entry is rounded once.
+
     Its stacks are slots of the workspace ``ws``, kept across calls and sized
     lazily: a slot grows only for a stack larger than any before it, so a warm
-    call allocates nothing of the stack's size.  ``x`` may be the ``"x"`` slot,
-    which only the elimination's multipliers reuse once ``x`` is spent.  The
-    result is a view of the ``"aug"`` slot, valid until the next kernel call.
+    call allocates nothing of the stack's size.  ``x`` may be the ``"x"`` slot.
+    The result is a contiguous view of the ``"r0"`` or ``"r1"`` slot, valid
+    until the next kernel call.
     """
     n = len(x)
     norm = np.abs(x, out=ws.take("p1", x.shape, float))
     norm = norm.sum(axis=0, out=ws.take("x2", norm.shape[1:], float)).max(axis=0)
     top = norm.max(initial=0.0)
-    theta, b = next((p for p in _PADE if top <= p[0]), _PADE[-1])
+    m, theta = next((d for d in _TAYLOR if top <= d[1]), _TAYLOR[-1])
     s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
     if s.any():
         x *= 0.5 ** s
-    # the odd and even parts are built in [P | Q]
-    tmp, aug = ws.take("t", x.shape), ws.take("aug", (n, 2 * n) + x.shape[2:])
-    x2 = _stack_product(x, x, tmp, ws.take("x2", x.shape))
-    odd, even = np.multiply(x2, b[3], out=aug[:, :n]), np.multiply(x2, b[2], out=aug[:, n:])
-    for i in range(n):
-        odd[i, i] += b[1]
-        even[i, i] += b[0]
-    power, spare = x2, (ws.take("p0", x.shape), ws.take("p1", x.shape))
-    for i, j in enumerate(range(4, len(b), 2)):
-        power = _stack_product(power, x2, tmp, spare[i % 2])
-        even += np.multiply(power, b[j], out=tmp)
-        odd += np.multiply(power, b[j + 1], out=tmp)
-    u = _stack_product(x, odd, tmp, x2)
-    np.subtract(even, u, out=odd)
-    even += u
-    r = _stack_solve(aug, ws)
+    q, tmp = math.isqrt(m - 1) + 1, ws.take("t", x.shape)
+    powers = [x]  # X^1 .. X^q
+    for slot in ("x2", "p0", "p1")[:q - 1]:
+        powers.append(_stack_product(powers[-1], x, tmp, ws.take(slot, x.shape)))
+    c = [1.0 / math.factorial(k) for k in range(m + 1)]
+    r = None
+    for i, j in enumerate(range((m - 1) // q * q, -1, -q)):  # each block's lowest degree
+        out = ws.take(("r0", "r1")[i % 2], x.shape)
+        if r is None:  # the top block, up to degree m
+            np.multiply(x, c[j + 1], out=out)
+            terms = range(2, m - j + 1)
+        else:
+            terms = range(1, q)
+            _stack_product(powers[-1], r, tmp, out)
+        for k in terms:
+            out += np.multiply(powers[k - 1], c[j + k], out=tmp)
+        out.reshape(n * n, -1)[::n + 1] += c[j]
+        r = out
     for k in range(int(s.max(initial=0))):
         sq = np.flatnonzero(s > k)
-        rs = _result_columns(r, sq, ws.take("p0", (n, n, len(sq))))
+        rs = np.take(r, sq, axis=-1, out=ws.take("p0", (n, n, len(sq))), mode="clip")
         r[..., sq] = _stack_product(rs, rs, ws.take("t", rs.shape), ws.take("p1", rs.shape))
     return r
-
-
-def _result_columns(r, idx, out):
-    """Columns ``idx`` of the last axis of ``r``, a result of ``_expm_stack``, copied to the
-    contiguous ``out``; each ``r[i]`` is contiguous, so no copy of ``r`` is made."""
-    for row, dest in zip(r, out):
-        np.take(row, idx, axis=-1, out=dest, mode="clip")
-    return out
 
 
 class AlgebraContext:
@@ -388,10 +352,13 @@ def weyl_normalize(theta):
     """Map a spectrum vector into the closed chamber and validate genericity.
 
     Sorts the entries in decreasing order.  Raises ``InvalidSpectrum`` when
-    the entries do not sum to zero within 1e-12 and ``BoundaryOrbit`` when
-    two entries come within 1e-12 (the orbit would not have maximal dimension).
+    there are fewer than two entries or they do not sum to zero within 1e-12,
+    and ``BoundaryOrbit`` when two entries come within 1e-12 (the orbit would
+    not have maximal dimension).
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.size < 2:
+        raise InvalidSpectrum(f"a spectrum needs at least two entries, got {theta.size}")
     if abs(theta.sum()) > 1e-12:
         raise InvalidSpectrum(f"entries sum to {theta.sum():.3e}, expected 0")
     s = np.sort(theta)[::-1]

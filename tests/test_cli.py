@@ -288,6 +288,10 @@ _BAD_CONFIGS = {
     "seed_negative": ({"seed": -1}, ["solve", "zero"]),
     "t_nan": ({"t": float("nan")}, ["solve", "kstar"]),
     "check_scale": ({"tolerances": {"check_scale": 1.0}}, ["verify", "--suite", "rmatrix"]),
+    "thetas_short": ({"n": 3, "thetas": [[0], [0], [0]]}, ["solve", "zero"]),
+    "thetas_empty": ({"n": 3, "thetas": [[], [], []]}, ["verify", "--suite", "rmatrix"]),
+    "thetas_sum": ({"n": 3, "thetas": [[0.5, 0.1, -0.5]] * 3}, ["solve", "zero"]),
+    "thetas_repeated": ({"n": 3, "thetas": [[0.1, 0.1, -0.2]] * 3}, ["solve", "kstar"]),
 }
 
 

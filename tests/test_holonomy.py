@@ -334,7 +334,7 @@ def test_batch_matches_single_and_rebased_pieces():
     conn3 = RationalConnection(X1=CTX3.random_compact(RNG, 0.3),
                                X2=CTX3.random_compact(RNG, 0.3), scale=1.0)
     # one transport of several paths (contours, reflections and a bare segment
-    # list) gives each path's own holonomy; only the Pade degree of the shared
+    # list) gives each path's own holonomy; only the Taylor degree of the shared
     # exponential stacks can differ, which moves the last bits
     paths = [CAT.contours[nm] for nm in ("gamma1", "gamma3", "eight_narrow", "double_wind")]
     paths += [CAT.contours["circle_both"].reflected(), CAT.contours["gamma2"].segments]

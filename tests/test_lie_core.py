@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from trinion.errors import BoundaryOrbit, InvalidRank, InvalidSpectrum, InvalidTwist
-from trinion.lie_core import (_PADE, _expm, bar, build_algebra, cybe_residual, pair, r_matrix,
+from trinion.lie_core import (_TAYLOR, _expm, bar, build_algebra, cybe_residual, pair, r_matrix,
                               weyl_normalize)
 
 RNG = np.random.default_rng(42)
@@ -40,25 +42,59 @@ def test_structure_constants_match_elementwise_loop(n):
     assert np.array_equal(ctx.real_coords(x[0]), coords(x[0]))
 
 
+def _rounded_expm(m, terms=14):
+    """The correctly rounded exponential of the float matrix ``m``: its Taylor sum to ``terms``
+    terms in exact rational arithmetic, on the real form ``[[re, -im], [im, re]]``, each part of
+    each entry rounded once by ``float(Fraction)``."""
+    n = len(m)
+    x = np.array([[Fraction(v) for v in row] for row in np.block([[m.real, -m.imag],
+                                                                   [m.imag, m.real]])])
+    term = np.array([[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)])
+    total = term
+    for k in range(1, terms):
+        term = term.dot(x) / k
+        total = total + term
+    return np.array([[complex(float(total[i, j]), float(total[n + i, j])) for j in range(n)]
+                     for i in range(n)])
+
+
 def test_fd_exponentials_cached_per_step():
+    """The step exponentials are built once per step, in one stacked call, and each entry is
+    the correctly rounded exponential of the float matrix ``±h t_a`` exponentiated."""
     ctx = build_algebra(2)
     plus, minus = ctx.fd_exponentials(1e-5)
     assert ctx.fd_exponentials(1e-5)[0] is plus
     stack = _expm(np.array([1e-5, -1e-5])[:, None, None, None] * ctx.real_basis)
     assert np.array_equal(plus, stack[0]) and np.array_equal(minus, stack[1])
-    eps = np.finfo(float).eps
-    for t, ep, em in zip(ctx.real_basis, plus, minus):
-        assert np.max(np.abs(ep - expm(1e-5 * t))) <= 2 * eps
-        assert np.max(np.abs(em - expm(-1e-5 * t))) <= 2 * eps
+    for n in (2, 3):
+        ctx = build_algebra(n)
+        for h in (1e-6, 1e-5, 1e-4):
+            steps = np.array([h, -h])[:, None, None, None] * ctx.real_basis
+            for got, m in zip(np.concatenate(ctx.fd_exponentials(h)), steps.reshape(-1, n, n)):
+                assert np.array_equal(got, _rounded_expm(m))
     assert len(ctx.fd_exponentials(1e-4)[0]) == 2 * ctx.dim_compact
 
 
+def _expm_inputs(n):
+    """Random stacks at norms from 1e-9 to 50, through every Taylor degree and scaling, with
+    1-norms just below and just above each degree's bound."""
+    norms = [1e-9, 0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 35.0, 50.0]
+    norms += [theta * f for _, theta in _TAYLOR for f in (1 - 1e-6, 1 + 1e-6)]
+    z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
+    return z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
 def test_expm_matches_scipy():
-    # one norm inside each Pade band, then norms that need scaling and squaring
-    norms = (0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 35.0, 50.0)
-    for n in (2, 3, 4, 5):
-        z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
-        mats = z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
+    # ``pi J``, ``J`` the rotation generator, and a rotation in the (0, 2) plane coupled to
+    # the middle row: stacks that once made a rational approximant's denominator singular
+    c = 3.1626644752930404
+    rot = np.pi * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    coupled = np.array([[0.0, 0.4, c], [0.3, 0.5, 0.2], [-c, 0.1, 0.0]])
+    z = RNG.normal(size=(2, 3, 3)) + 1j * RNG.normal(size=(2, 3, 3))
+    stacks = [_expm_inputs(n) for n in (2, 3, 4, 5)]
+    stacks += [np.array([rot, -rot, 1j * rot, 0.5 * rot]),
+               np.array([coupled, coupled.T, *(3.0 * z / np.abs(z).sum(axis=-2).max())])]
+    for mats in stacks:
         stacked = _expm(mats)
         for m, e in zip(mats, stacked):
             ref = expm(m)
@@ -73,32 +109,6 @@ def test_expm_matches_scipy():
     for idx in np.ndindex(3, 4):
         ref = expm(mats[idx])
         assert np.linalg.norm(stacked[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-def test_expm_exchanges_rows_of_the_pade_denominator():
-    """Stacks whose degree-13 Pade denominators have vanishing leading pivots.
-
-    For ``pi J``, ``J`` the rotation generator, the denominator's even part
-    vanishes to rounding, so its leading entry is about 1e-16 of the entry
-    below it.  ``c``, a root of that entry found by bisection, does the same
-    for a rotation in the (0, 2) plane coupled to the middle row; there,
-    elimination without the exchange with the last row loses every digit.
-    Each stack mixes matrices that need an exchange with matrices that need
-    none.
-    """
-    b = _PADE[-1][1]
-    c = 3.1626644752930404
-    rot = np.pi * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    coupled = np.array([[0.0, 0.4, c], [0.3, 0.5, 0.2], [-c, 0.1, 0.0]])
-    for m, row in ((rot, 1), (coupled, 2)):
-        den = sum(b[k] * np.linalg.matrix_power(-m, k) for k in range(len(b)))
-        assert abs(den[0, 0]) < 1e-14 * abs(den[row, 0])
-    z = RNG.normal(size=(2, 3, 3)) + 1j * RNG.normal(size=(2, 3, 3))
-    for stack in (np.array([rot, -rot, 1j * rot, 0.5 * rot]),
-                  np.array([coupled, coupled.T, *(3.0 * z / np.abs(z).sum(axis=-2).max())])):
-        for m, got in zip(stack, _expm(stack)):
-            ref = expm(m)
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_invalid_rank():
