@@ -71,6 +71,10 @@ def _sum_zero_frame(n):
 # last; each is the highest degree that Paterson-Stockmeyer reaches with 1 to 6 products
 _TAYLOR = ((2, 2.5809568029717672e-8), (4, 3.3971688399769619e-4), (6, 9.0656564075951024e-3),
            (9, 8.9577602032233427e-2), (12, 0.29961589138115805), (16, 0.78028742566265743))
+# the coefficients 1 / k! up to k = 16, quotients the compiler folds
+_INV_FACTORIAL = (1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720, 1 / 5040, 1 / 40320,
+                  1 / 362880, 1 / 3628800, 1 / 39916800, 1 / 479001600, 1 / 6227020800,
+                  1 / 87178291200, 1 / 1307674368000, 1 / 20922789888000)
 
 
 class _Workspace:
@@ -171,19 +175,18 @@ def _expm_stack(x, ws):
     powers = [x]  # X^1 .. X^q
     for slot in ("x2", "p0", "p1")[:q - 1]:
         powers.append(_stack_product(powers[-1], x, tmp, ws.take(slot, x.shape)))
-    c = [1.0 / math.factorial(k) for k in range(m + 1)]
     r = None
     for i, j in enumerate(range((m - 1) // q * q, -1, -q)):  # each block's lowest degree
         out = ws.take(("r0", "r1")[i % 2], x.shape)
         if r is None:  # the top block, up to degree m
-            np.multiply(x, c[j + 1], out=out)
+            np.multiply(x, _INV_FACTORIAL[j + 1], out=out)
             terms = range(2, m - j + 1)
         else:
             terms = range(1, q)
             _stack_product(powers[-1], r, tmp, out)
         for k in terms:
-            out += np.multiply(powers[k - 1], c[j + k], out=tmp)
-        out.reshape(n * n, -1)[::n + 1] += c[j]
+            out += np.multiply(powers[k - 1], _INV_FACTORIAL[j + k], out=tmp)
+        out.reshape(n * n, -1)[::n + 1] += _INV_FACTORIAL[j]
         r = out
     for k in range(int(s.max(initial=0))):
         sq = np.flatnonzero(s > k)

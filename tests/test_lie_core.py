@@ -75,23 +75,21 @@ def test_fd_exponentials_cached_per_step():
     assert len(ctx.fd_exponentials(1e-4)[0]) == 2 * ctx.dim_compact
 
 
-def _expm_inputs(n):
-    """Random stacks at norms from 1e-9 to 50, through every Taylor degree and scaling, with
-    1-norms just below and just above each degree's bound."""
+def test_expm_matches_scipy():
+    # norms through every Taylor degree and scaling and squaring, with 1-norms just below and
+    # just above each degree's bound
     norms = [1e-9, 0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 35.0, 50.0]
     norms += [theta * f for _, theta in _TAYLOR for f in (1 - 1e-6, 1 + 1e-6)]
-    z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
-    return z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None]
-
-
-def test_expm_matches_scipy():
+    stacks = []
+    for n in (2, 3, 4, 5):
+        z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
+        stacks.append(z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None])
     # ``pi J``, ``J`` the rotation generator, and a rotation in the (0, 2) plane coupled to
     # the middle row: stacks that once made a rational approximant's denominator singular
     c = 3.1626644752930404
     rot = np.pi * np.array([[0.0, 1.0], [-1.0, 0.0]])
     coupled = np.array([[0.0, 0.4, c], [0.3, 0.5, 0.2], [-c, 0.1, 0.0]])
     z = RNG.normal(size=(2, 3, 3)) + 1j * RNG.normal(size=(2, 3, 3))
-    stacks = [_expm_inputs(n) for n in (2, 3, 4, 5)]
     stacks += [np.array([rot, -rot, 1j * rot, 0.5 * rot]),
                np.array([coupled, coupled.T, *(3.0 * z / np.abs(z).sum(axis=-2).max())])]
     for mats in stacks:
