@@ -186,7 +186,7 @@ def _expm_stack(x, ws):
             _stack_product(powers[-1], r, tmp, out)
         for k in terms:
             out += np.multiply(powers[k - 1], _INV_FACTORIAL[j + k], out=tmp)
-        out.reshape(n * n, -1)[::n + 1] += _INV_FACTORIAL[j]
+        out.reshape(n * n, -1)[::n + 1] += _INV_FACTORIAL[j]  # the diagonal
         r = out
     for k in range(int(s.max(initial=0))):
         sq = np.flatnonzero(s > k)

@@ -84,8 +84,8 @@ def test_expm_matches_scipy():
     for n in (2, 3, 4, 5):
         z = RNG.normal(size=(len(norms), n, n)) + 1j * RNG.normal(size=(len(norms), n, n))
         stacks.append(z * (np.array(norms) / np.abs(z).sum(axis=-2).max(axis=-1))[:, None, None])
-    # ``pi J``, ``J`` the rotation generator, and a rotation in the (0, 2) plane coupled to
-    # the middle row: stacks that once made a rational approximant's denominator singular
+    # ``pi J``, ``J`` the rotation generator, whose exponential ``-I`` has off-diagonal entries
+    # that cancel to rounding, and a rotation in the (0, 2) plane coupled to the middle row
     c = 3.1626644752930404
     rot = np.pi * np.array([[0.0, 1.0], [-1.0, 0.0]])
     coupled = np.array([[0.0, 0.4, c], [0.3, 0.5, 0.2], [-c, 0.1, 0.0]])
