@@ -23,7 +23,7 @@ import numpy as np
 from . import _serialize
 from .decompositions import BracketSpace, sklyanin_eval
 from .errors import (BoundaryOrbit, ConstraintViolated, InvalidSpectrum, MissingIntersectionData,
-                     SchemaError, TrinionError)
+                     SchemaError, ToleranceTooLoose, TrinionError)
 from .graph_poisson import chi_map, figure_three, fr_vs_kstar, goldman_rhs
 from .holonomy import builtin_catalogue, holonomy, load_catalogue, xi_map
 from .lie_core import build_algebra, r_matrix, weyl_normalize
@@ -169,8 +169,6 @@ def cmd_solve(cfg, level):
     if level == "zero":
         sol = solve_moment_zero(ctx, *hs, seed=cfg["seed"], tol=tol)
     else:
-        if cfg["t"] == 0:
-            raise SchemaError("solve kstar needs t != 0")
         u = None if cfg["u"] is None else np.asarray(cfg["u"])
         sol = solve_moment_kstar(ctx, *hs, t=cfg["t"], u=u, seed=cfg["seed"], tol=tol)
     if isinstance(sol, NoSolution):
@@ -219,8 +217,7 @@ def cmd_bracket(cfg, kind, args):
     if kind == "goldman":
         cat = load_catalogue(args.catalogue) if args.catalogue else builtin_catalogue()
         ca, cb = (_contour(cat, name) for name in args.contours)
-        x1 = ctx.random_compact(rng, 0.3)
-        x2 = ctx.random_compact(rng, 0.3)
+        x1, x2 = _default_residues(cfg)
         conn = xi_map(x1, x2, -(x1 + x2), t=cfg["t"])
         try:
             rep = goldman_rhs(ctx, conn, ca, cb, cfg["tolerances"]["ode"])
@@ -249,6 +246,12 @@ def cmd_bracket(cfg, kind, args):
     return 0
 
 
+def _default_residues(cfg):
+    """The residues ``X1``, ``X2`` a command draws when it is given none."""
+    ctx, rng = build_algebra(cfg["n"]), np.random.default_rng(cfg["seed"])
+    return ctx.random_compact(rng, 0.3), ctx.random_compact(rng, 0.3)
+
+
 def _connection(x1, x2, x3, t):
     """``xi_map`` for the commands: residues that break its constraints are a schema error."""
     try:
@@ -275,10 +278,7 @@ def cmd_holonomy(cfg, args):
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise SchemaError(f"cannot read residues {args.residues}: {exc!r}") from exc
     else:
-        ctx = build_algebra(cfg["n"])
-        rng = np.random.default_rng(cfg["seed"])
-        x1 = ctx.random_compact(rng, 0.3)
-        x2 = ctx.random_compact(rng, 0.3)
+        x1, x2 = _default_residues(cfg)
     conn = _connection(x1, x2, None, cfg["t"])
     h = holonomy(conn, contour, cfg["tolerances"]["ode"])
     _write({"contour": args.contour, "holonomy": _serialize.matrix_to_json(h),
@@ -344,17 +344,13 @@ def main(argv=None):
                 except (OSError, ValueError, KeyError, TypeError) as exc:
                     raise SchemaError(f"cannot read matrices {args.input}: {exc!r}") from exc
             else:
-                ctx = build_algebra(cfg["n"])
-                rng = np.random.default_rng(cfg["seed"])
-                x1 = ctx.random_compact(rng, 0.3)
-                x2 = ctx.random_compact(rng, 0.3)
-                inputs = [_serialize.matrix_to_json(x1), _serialize.matrix_to_json(x2)]
+                inputs = [_serialize.matrix_to_json(x) for x in _default_residues(cfg)]
             return cmd_map(cfg, args.which, inputs)
         if args.command == "bracket":
             return cmd_bracket(cfg, args.kind, args)
         if args.command == "holonomy":
             return cmd_holonomy(cfg, args)
-    except SchemaError as exc:
+    except (SchemaError, ToleranceTooLoose) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrinionError as exc:

@@ -178,10 +178,6 @@ def f_inverse(ctx, s, u=None):
 
 def e_map(ctx, x, t=1.0, u=None):
     """Orbit parametrization ``e(X) = f^{-1}(exp(2 i t X))`` for X in su(n)."""
-    from .lie_core import CartanVector
-
-    if isinstance(x, CartanVector):
-        x = x.matrix
     w, v = np.linalg.eigh(1j * np.asarray(x))
     s = (v * np.exp(2.0 * t * w)) @ v.conj().T
     return f_inverse(ctx, SKElement(matrix=s), u)

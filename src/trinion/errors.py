@@ -45,6 +45,10 @@ class ToleranceNotMet(TrinionError):
     """Adaptive integrator could not reach the requested tolerance."""
 
 
+class ToleranceTooLoose(TrinionError):
+    """Tolerance so loose that every input would pass: the verdict would say nothing."""
+
+
 class EvaluationError(TrinionError):
     """Test function returned a non-finite value."""
 

@@ -11,12 +11,13 @@ random restarts, so identical inputs and seed give identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .decompositions import (KStarElement, _dual_part, _iwasawa_dual, dressing_action, e_map,
-                             f_map)
-from .errors import IllConditioned, NonRegular, ToleranceNotMet
+from .decompositions import (KStarElement, _dual_part, _iwasawa_dual, _theta_twist,
+                             dressing_action, e_map, f_map)
+from .errors import IllConditioned, NonRegular, ToleranceNotMet, ToleranceTooLoose
 from .lie_core import CartanVector, _central_differences, _point_value, pair
 
 __all__ = [
@@ -168,23 +169,24 @@ def _damped_steps(normal, rhs):
         return np.concatenate(steps), np.concatenate(singular)
 
 
-def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
-    """Damped Gauss-Newton on SU(n)^3 with exponential retractions, over a stack of trials.
+def _levenberg_marquardt(ctx, residual, jacobian, ks, labels, tol):
+    """Damped Gauss-Newton on SU(n)^3 with exponential retractions, over a stack of rows.
 
-    ``ks`` has shape ``(T, 3, n, n)``; ``residual(ks)`` returns ``(state, f)``
-    stacked the same way, and ``jacobian(ks, state)`` the derivative of each f
-    along ``k_i -> exp(s t_b) k_i``.  Every trial keeps its own damping, best
-    residual and stall reference, and only trials still running are evaluated,
-    so a trial's result does not depend on the rest of the stack.  A trial
+    ``ks`` has shape ``(T, 3, n, n)`` and ``labels`` holds one label row per
+    row of ``ks``; ``residual(ks, labels)`` returns ``(state, f)`` stacked the
+    same way, and ``jacobian(state)`` the derivative of each f along
+    ``k_i -> exp(s t_b) k_i``.  Every row keeps its own damping, best
+    residual and stall reference, and only rows still running are evaluated,
+    so a row's result does not depend on the rest of the stack.  A row
     stops at ``tol``, after ``_MAX_ITER`` iterations, when its damping passes
     1e8, or on a residual far above ``tol`` that 12 iterations cut by under
     10%.  Returns the final ``ks``, the best residual and the iteration count
-    of each trial.
+    of each row.
     """
     nb = ctx.dim_compact
     ks = np.array(ks)
     lam = np.full(len(ks), 1e-3)
-    state, f = residual(ks)
+    state, f = residual(ks, labels)
     best = _norms(f)
     stall_ref = best.copy()
     iters = np.zeros(len(ks), dtype=int)
@@ -195,14 +197,14 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
         if live.size == 0:
             break
         iters[live] = it
-        jac = jacobian(ks[live], state[live])
+        jac = jacobian(state[live])
         jt = jac.swapaxes(-1, -2)
         rhs = -(jt @ f[live][..., None])
         step, singular = _damped_steps(jt @ jac + lam[live, None, None] * eye, rhs)
         turn = _exp_su(ctx, np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb),
                                       ctx.compact_basis))
         new_ks = turn @ ks[live]
-        new_state, f_new = residual(new_ks)
+        new_state, f_new = residual(new_ks, labels[live])
         new_best = _norms(f_new)
         better = new_best < best[live]
         # the damping can vanish against the gauge null space of J^T J at large t theta:
@@ -222,37 +224,39 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, tol):
     return ks, best, iters
 
 
-def _solve(ctx, residual, jacobian, seed, tol, restarts, start=None):
-    """Restarts from ``default_rng((seed, trial))`` draws, or ``start(rng)`` at trial 0.
+def _solve(ctx, residual, jacobian, labels, seeds, tol, restarts, first=None):
+    """Seeded restarts of the problems ``p`` with labels ``labels[p]`` and seeds ``seeds[p]``.
 
-    Trial 0 runs alone, then trials ``1..restarts-1`` run as one stack.  The
-    lowest-index trial reaching ``tol`` wins: returns ``(trial, ks,
-    residual)``, else ``NoSolution``; raises when no trial reaches a finite residual.
+    Trial ``j`` of ``p`` starts from a ``default_rng((seeds[p], j))`` draw, or from ``first[p]``
+    at trial 0.  Trial 0 of every problem runs as one stack, then trials ``1..restarts-1`` of
+    the unsolved ones.  Per problem, the lowest-index trial reaching ``tol`` wins: returns
+    ``(trial, ks, residual)``, else ``NoSolution``; raises when no trial of an unsolved
+    problem reaches a finite residual.
     """
-    best = np.inf
+    found, best = [None] * len(seeds), np.full(len(seeds), np.inf)
     for trials in (range(min(1, restarts)), range(1, restarts)):
-        if not trials:
+        rows = [(p, trial) for p, won in enumerate(found) if won is None for trial in trials]
+        if not rows:
             break
-        rngs = [np.random.default_rng((seed, trial)) for trial in trials]
-        if trials[0] == 0 and start is not None:
-            starts = [start(rngs[0])]
-        else:
-            starts = np.array([ctx.random_unitary(rng, (3,)) for rng in rngs])
-        ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, tol)
-        won = np.flatnonzero(res <= tol)
-        if won.size:
-            return trials[won[0]], ks[won[0]], res[won[0]]
-        best = min(best, np.fmin.reduce(res))  # fmin skips NaN
-    if not np.isfinite(best):
+        probs = [p for p, _ in rows]
+        starts = first if trials[0] == 0 and first is not None else np.array(
+            [ctx.random_unitary(np.random.default_rng((seeds[p], j)), (3,)) for p, j in rows])
+        ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, labels[probs], tol)
+        for (p, trial), k, r in zip(rows, ks, res):
+            if found[p] is None and r <= tol:
+                found[p] = trial, k, r
+        np.fmin.at(best, probs, res)  # fmin skips NaN
+    if any(won is None and not np.isfinite(b) for won, b in zip(found, best)):
         raise ToleranceNotMet("non-finite solver state: no trial reached a finite residual")
-    return NoSolution(best_residual=float(best), trials=restarts)
+    return [NoSolution(best_residual=float(b), trials=restarts) if won is None else won
+            for won, b in zip(found, best)]
 
 
-def _zero_residual(ctx, hmats, ks):
+def _zero_residual(ctx, ks, hmats):
     """The triple ``k_i I(H_i) k_i^{-1}`` and the coordinates of minus its sum.
 
     The coordinates ``-Re tr(t_b m)`` are summed in a fixed order, so a
-    trial's residual does not depend on the stack it is evaluated in.
+    row's residual does not depend on the stack it is evaluated in.
     """
     xs = ks @ hmats @ ks.conj().swapaxes(-1, -2)
     m = (xs[..., 0, :, :] + xs[..., 1, :, :] + xs[..., 2, :, :]).swapaxes(-1, -2)[..., None, :, :]
@@ -281,13 +285,6 @@ def _regularity(ctx, xs):
     return int(np.sum(sv > 1e-6))
 
 
-def _zero_callbacks(ctx, hs):
-    """Residual and Jacobian callbacks of the zero level for the labels ``hs``."""
-    hmats = np.array([h.matrix for h in hs])
-    return (lambda ks: _zero_residual(ctx, hmats, ks),
-            lambda ks, xs: _commutator_coords(ctx, xs))
-
-
 def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
     """Find orbit points with ``X1 + X2 + X3 = 0`` or report failure.
 
@@ -295,23 +292,23 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
     lowest-index trial reaching ``tol`` and ``NoSolution`` with the best
     residual otherwise.  Identical inputs and seed give identical output.
     """
-    hs = [h1, h2, h3]
+    return _solve_zero(ctx, [[h1, h2, h3]], [seed], tol, restarts)[0]
+
+
+def _solve_zero(ctx, problems, seeds, tol, restarts):
+    """``solve_moment_zero`` of each triple ``problems[p]`` with seed ``seeds[p]``, as one batch."""
+    hmats = np.array([[h.matrix for h in hs] for hs in problems])
     with np.errstate(all="ignore"):  # huge spectra overflow the state, and _solve raises
-        residual, jacobian = _zero_callbacks(ctx, hs)
-        found = _solve(ctx, residual, jacobian, seed, tol, restarts)
-    if isinstance(found, NoSolution):
-        return found
-    trial, ks, res = found
-    xs, _ = residual(ks)
-    rank = _regularity(ctx, xs)
-    pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
-    return MomentSolution(kind="zero", points=pts, residual=float(res),
-                          regularity_rank=rank, trial=trial)
-
-
-def _dressed(ctx, bases, ks, u):
-    """The dressed triples ``AD*_{k_i} e(H_i)`` as dual-group matrices, over leading axes."""
-    return _iwasawa_dual(ctx, ks @ bases, u)[0]
+        found = _solve(ctx, partial(_zero_residual, ctx), partial(_commutator_coords, ctx), hmats,
+                       seeds, tol, restarts)
+    for p, (hs, won) in enumerate(zip(problems, found)):
+        if not isinstance(won, NoSolution):
+            trial, ks, res = won
+            xs, _ = _zero_residual(ctx, ks, hmats[p])
+            pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
+            found[p] = MomentSolution(kind="zero", points=pts, residual=float(res),
+                                      regularity_rank=_regularity(ctx, xs), trial=trial)
+    return found
 
 
 def _dressing_jacobian(ctx, mats, u):
@@ -332,44 +329,40 @@ def _dressing_jacobian(ctx, mats, u):
     return cols.reshape(cols.shape[:-4] + (-1, ctx.n ** 2)).view(float).swapaxes(-1, -2), moved
 
 
-def _kstar_callbacks(ctx, hs, t, u):
-    """Residual and Jacobian callbacks of the unit-product level for the labels ``hs``.
-
-    The residual holds the entries of ``k*1 k*2 k*3 - e`` as interleaved real and imaginary parts.
-    """
-    bases = np.array([e_map(ctx, h.matrix, t, u).matrix for h in hs])
-
-    def residual(ks):
-        mats = _dressed(ctx, bases, ks, u)
-        prod = mats[..., 0, :, :] @ mats[..., 1, :, :] @ mats[..., 2, :, :] - np.eye(ctx.n)
-        return mats, prod.reshape(prod.shape[:-2] + (-1,)).view(float)
-
-    return residual, lambda ks, mats: _dressing_jacobian(ctx, mats, u)[0]
+def _kstar_residual(ctx, ks, bases, u=None):
+    """The dressed triples ``AD*_{k_i} e(H_i)`` from the bases ``e(H_i)``, and the entries of
+    ``k*1 k*2 k*3 - e`` as interleaved real and imaginary parts."""
+    mats = _iwasawa_dual(ctx, ks @ bases, u)[0]
+    prod = mats[..., 0, :, :] @ mats[..., 1, :, :] @ mats[..., 2, :, :] - np.eye(ctx.n)
+    return mats, prod.reshape(prod.shape[:-2] + (-1,)).view(float)
 
 
 def solve_moment_kstar(ctx, h1, h2, h3, t, u=None, seed=0, tol=1e-9, restarts=32):
     """Find dressing orbit points with ``k*1 k*2 k*3 = e`` or report failure.
 
-    Same restart contract as the zero-level solver; the Jacobian is the
-    closed-form derivative of the dressing action, from the Iwasawa splitting
-    of sl(n,C) into su(n) and the dual algebra.  Trial 0 starts from the
-    zero-level solution's witnesses when there is one.
+    Same restart contract as the zero-level solver; the Jacobian is the closed-form derivative
+    of the dressing action, from the Iwasawa splitting of sl(n,C) into su(n) and the dual
+    algebra.  Trial 0 starts from the zero-level solution's witnesses when there is one.
+    Raises ``ToleranceTooLoose`` when ``tol >= B = |t| sum_i (sqrt(2) |theta_i| + |phi_i|)``,
+    ``phi_i`` the twist phases: to first order in ``t`` every residual is at most ``B``.
     """
     hs = [h1, h2, h3]
-
-    def start(rng):
-        zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
-        if isinstance(zero, NoSolution):
-            return ctx.random_unitary(rng, (3,))
-        return np.array([p.witness for p in zero.points])
-
     with np.errstate(all="ignore"):  # at large t the state overflows, and _solve raises
-        residual, jacobian = _kstar_callbacks(ctx, hs, t, u)
-        found = _solve(ctx, residual, jacobian, seed, tol, restarts, start=start)
+        bound = abs(t) * sum(np.sqrt(2) * np.linalg.norm(h.theta)
+                             + np.linalg.norm(_theta_twist(ctx, u, np.array(h.theta))) for h in hs)
+        if tol >= bound:
+            raise ToleranceTooLoose(f"t = {t} is too small for tol = {tol}: to first order, "
+                                    f"every triple's residual is at most B = {bound:.3g}")
+        bases = np.array([[e_map(ctx, h.matrix, t, u).matrix for h in hs]])
+        zero = solve_moment_zero(ctx, h1, h2, h3, seed=seed, restarts=8)
+        first = None if isinstance(zero, NoSolution) else [[p.witness for p in zero.points]]
+        found, = _solve(ctx, partial(_kstar_residual, ctx, u=u),
+                        lambda mats: _dressing_jacobian(ctx, mats, u)[0], bases, [seed], tol,
+                        restarts, first)
     if isinstance(found, NoSolution):
         return found
     trial, ks, res = found
-    pts = [KStarElement(m) for m in residual(ks)[0]]
+    pts = [KStarElement(m) for m in _kstar_residual(ctx, ks, bases[0], u)[0]]
     rank = _regularity(ctx, [_dual_log(ctx, p, t) for p in pts])
     out = [DressingOrbitPoint(kstar=p, H=h, t=t, witness=k)
            for p, h, k in zip(pts, hs, ks)]

@@ -27,8 +27,8 @@ from .holonomy import (_SIGMA_ODE_TOL, _holonomies, _sigma_residual, _transport,
                        builtin_catalogue, hole_conjugacy_check, xi_map)
 from .lie_core import (_central_differences, _expm, build_algebra, cybe_residual, r_matrix,
                        weyl_normalize)
-from .orbits import (DressingOrbitPoint, NoSolution, _orbit_pairing, _step_points, gauge_fix,
-                     kk_bracket, solve_moment_zero, tangent_rank)
+from .orbits import (DressingOrbitPoint, NoSolution, _orbit_pairing, _solve_zero, _step_points,
+                     gauge_fix, kk_bracket, tangent_rank)
 
 __all__ = ["CheckRecord", "SUITES", "run_suites"]
 
@@ -198,21 +198,21 @@ def _horn_margin(thetas):
 def _gauge_fixed_solutions(ctx, seed, count, lo=0.15, hi=0.6):
     """``count`` gauge-fixed zero-level solutions on spectra drawn by ``_sampled_spectra``.
 
-    A draw that Horn's inequalities rule out skips its solve, which would
-    return ``NoSolution``, but still counts as an attempt, so every later
-    attempt keeps its solver seed.
+    Each round draws as many attempts as solutions are still missing and solves them as one
+    batch, so the successes come in attempt order and no extra attempt is drawn.  Attempt
+    ``a`` solves with seed ``(seed, a)``; a draw Horn's inequalities rule out skips its solve,
+    which would return ``NoSolution``, but still takes its attempt number.
     """
     out = []
     rng = np.random.default_rng((seed, ctx.n, 3))
-    for attempt in itertools.count():
-        if len(out) == count:
-            return out
-        hs = _sampled_spectra(ctx, rng, lo, hi)
-        if _horn_margin([h.theta for h in hs]) < -1e-9:
-            continue
-        sol = solve_moment_zero(ctx, *hs, seed=(seed, attempt), restarts=8)
-        if not isinstance(sol, NoSolution):
-            out.append(gauge_fix(ctx, sol))
+    attempts = itertools.count()
+    while len(out) < count:
+        draws = [(a, _sampled_spectra(ctx, rng, lo, hi)) for a in
+                 itertools.islice(attempts, count - len(out))]
+        draws = [(a, hs) for a, hs in draws if _horn_margin([h.theta for h in hs]) >= -1e-9]
+        sols = _solve_zero(ctx, [hs for _, hs in draws], [(seed, a) for a, _ in draws], 1e-10, 8)
+        out += [gauge_fix(ctx, sol) for sol in sols if not isinstance(sol, NoSolution)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +462,15 @@ def _bracket_axioms(n, seed, triples, fig):
 # ---------------------------------------------------------------------------
 
 def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6, draws=60):
-    """Zero-level solver verdicts against Horn's inequalities.
+    """Zero-level solver verdicts against Horn's inequalities, in one batch solve per n.
 
     At n = 2 every point of a ``grid^3`` lattice of spectra is solved.  At
     n = 3, ``draws`` seeded triples from the geometric suites' sampler are
     solved; triples within 0.01 of a Horn face are redrawn, since there the
     verdict rests on the solver's tolerance rather than on the inequalities.
+    An infeasible verdict is also checked by value: where Horn fails by ``m < 0``, Weyl's
+    inequalities bound ``|X1 + X2 + X3|`` below by ``sqrt(n / (n - 1)) |m|``, sharp at n = 2,
+    so ``best_residual`` must match that floor at n = 2 and not fall below it at n = 3.
     """
     tol = 1e-10
     rec = []
@@ -486,19 +489,27 @@ def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6, draws=60):
                     triples.append(hs)
         else:
             continue
-        mismatches, worst_feasible = 0, 0.0
-        for k, hs in enumerate(triples, start=1):
-            feasible = _horn_margin([h.theta for h in hs]) >= -1e-12
-            sol = solve_moment_zero(ctx, *hs, seed=(seed, k), tol=tol, restarts=restarts)
+        seeds = [(seed, k) for k in range(1, len(triples) + 1)]
+        sols = _solve_zero(ctx, triples, seeds, tol, restarts)
+        mismatches, worst_feasible, worst_gap, below = 0, 0.0, 0.0, 0
+        for hs, sol in zip(triples, sols):
+            margin = _horn_margin([h.theta for h in hs])
             got = not isinstance(sol, NoSolution)
-            if got != feasible:
+            if got != (margin >= -1e-12):
                 mismatches += 1
             elif got:  # from the points: the solver's own residual is at most tol by construction
                 worst_feasible = max(worst_feasible, np.linalg.norm(sum(p.X for p in sol.points)),
                                      *(p.spectrum_residual() for p in sol.points))
+            else:
+                floor = np.sqrt(n / (n - 1)) * abs(margin)
+                worst_gap = max(worst_gap, abs(sol.best_residual - floor) / floor)
+                below += sol.best_residual < floor - tol
         rec.append(CheckRecord(f"moment.oracle_agreement.n{n}", float(mismatches), 0.0, 0.0))
         if n == 2:
             rec.append(CheckRecord("moment.feasible_residual.n2", worst_feasible, tol, 0.0))
+            rec.append(CheckRecord("moment.infeasible_distance.n2", worst_gap, 1e-8, 0.0))
+        else:
+            rec.append(CheckRecord("moment.infeasible_bound.n3", float(below), 0.0, 0.0))
     return rec
 
 

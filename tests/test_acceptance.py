@@ -72,5 +72,7 @@ def test_criterion_9_moment_solver_vs_oracle():
     _assert_all(records)
     assert [r.name for r in records] == ["moment.oracle_agreement.n2",
                                          "moment.feasible_residual.n2",
-                                         "moment.oracle_agreement.n3"]
+                                         "moment.infeasible_distance.n2",
+                                         "moment.oracle_agreement.n3",
+                                         "moment.infeasible_bound.n3"]
     assert elapsed < 60.0

@@ -134,6 +134,19 @@ def test_solve_kstar_non_finite_state(capsys, t):
     assert captured.err.startswith("error: non-finite") and len(captured.err.splitlines()) == 1
 
 
+def test_solve_kstar_refuses_a_t_below_the_tolerance(tmp_path, capsys):
+    """At t = 1e-12 every triple's residual is below tol = 1e-10, so spectra the zero level
+    rules out would "solve": one config-error line, exit 2, no JSON.  At t = 1e-8 the same
+    spectra still end ``no_solution``."""
+    cfg = _write_json(tmp_path / "c.json", {"thetas": [[0.9, -0.9], [0.1, -0.1], [0.1, -0.1]]})
+    assert run(["--config", cfg, "--t", "1e-12", "solve", "kstar"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: t = 1e-12") and "tol = 1e-10" in captured.err
+    assert run(["--config", cfg, "--t", "1e-8", "solve", "kstar"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "no_solution"
+
+
 @pytest.mark.parametrize("level", ["zero", "kstar"])
 def test_solve_huge_spectra_exit_1(tmp_path, capsys, level):
     """Spectra of size 1e300 overflow either solver's state from the start: one error line,

@@ -143,7 +143,7 @@ def test_e_map_diagonal_example():
     th = 0.43
     t = 0.9
     h = weyl_normalize([th, -th])
-    ks = e_map(ctx, h, t)
+    ks = e_map(ctx, h.matrix, t)
     want = np.diag([np.exp(-t * th), np.exp(t * th)])
     assert np.max(np.abs(ks.matrix - want)) < 1e-13
 

@@ -1,21 +1,22 @@
 import dataclasses
 import importlib
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trinion.decompositions import e_map
-from trinion.errors import EvaluationError
+from trinion.decompositions import _iwasawa_dual, e_map
+from trinion.errors import EvaluationError, ToleranceNotMet
 from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
 from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, OrbitPoint,
-                            _damped_steps, _dressed, _dressing_jacobian, _kstar_callbacks,
-                            _levenberg_marquardt, _solve, _zero_callbacks, diag_coadjoint,
-                            diag_dressing, gauge_fix, kk_bracket, solve_moment_kstar,
-                            solve_moment_zero, tangent_rank)
+                            _commutator_coords, _damped_steps, _dressing_jacobian,
+                            _kstar_residual, _levenberg_marquardt, _solve, _solve_zero,
+                            _zero_residual, diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
+                            solve_moment_kstar, solve_moment_zero, tangent_rank)
 
 RNG = np.random.default_rng(11)
 CTX2 = build_algebra(2)
@@ -303,12 +304,12 @@ def test_dressing_jacobian_matches_central_differences(n, twisted, t):
     hs = [weyl_normalize(v - v.mean()) for v in rng.normal(0.0, 0.3, (3, n))]
     bases = np.array([e_map(ctx, hh.matrix, t, u).matrix for hh in hs])
     ks = ctx.random_unitary(rng, (2, 3))
-    mats = _dressed(ctx, bases, ks, u)
+    mats = _iwasawa_dual(ctx, ks @ bases, u)[0]
     jac, slots = _dressing_jacobian(ctx, mats, u)
     steps = np.array([[expm(s * h * tb) for tb in ctx.compact_basis] for s in (1, -1)])
     ref = np.zeros((2, 3, ctx.dim_compact, n, n), complex)
     for i in range(3):  # move slot i of each stacked triple, both signs and every t_b at once
-        moved = _dressed(ctx, bases[i], steps @ ks[:, None, None, i], u)
+        moved = _iwasawa_dual(ctx, steps @ ks[:, None, None, i] @ bases[i], u)[0]
         ref[:, i] = (moved[:, 0] - moved[:, 1]) / (2 * h)
     prods = [ref[:, 0] @ mats[:, None, 1] @ mats[:, None, 2],
              mats[:, None, 0] @ ref[:, 1] @ mats[:, None, 2],
@@ -347,52 +348,84 @@ def test_stacked_trials_do_not_couple(level, n, feasible):
     else:  # the first spectrum outweighs the other two
         hs = [weyl_normalize(np.linspace(x, -x, n)) for x in (1.0, 0.2, 0.2)]
     if level == "zero":
-        residual, jacobian = _zero_callbacks(ctx, hs)
-        tol = 1e-10
+        residual, jacobian = partial(_zero_residual, ctx), partial(_commutator_coords, ctx)
+        labels, tol = np.array([h.matrix for h in hs]), 1e-10
     else:
-        residual, jacobian = _kstar_callbacks(ctx, hs, 0.7, None)
-        tol = 1e-9
+        residual = partial(_kstar_residual, ctx)
+        jacobian = lambda mats: _dressing_jacobian(ctx, mats, None)[0]
+        labels, tol = np.array([e_map(ctx, h.matrix, 0.7).matrix for h in hs]), 1e-9
     starts = np.array([ctx.random_unitary(np.random.default_rng((n, i)), (3,))
                        for i in range(6)])
     starts[2] = np.eye(n)
-    ks, best, iters = _levenberg_marquardt(ctx, residual, jacobian, starts, tol)
+    rows = np.array([labels] * len(starts))
+    ks, best, iters = _levenberg_marquardt(ctx, residual, jacobian, starts, rows, tol)
     assert len(set(iters)) > 1
     for i in range(len(starts)):
-        ks1, best1, iters1 = _levenberg_marquardt(ctx, residual, jacobian, starts[i:i + 1], tol)
+        ks1, best1, iters1 = _levenberg_marquardt(ctx, residual, jacobian, starts[i:i + 1],
+                                                  rows[:1], tol)
         assert best1[0] == best[i] and iters1[0] == iters[i], i
         assert np.array_equal(ks1[0], ks[i])
 
 
 def test_lowest_converging_trial_wins():
     """The winner is the lowest-index trial that converges when run alone."""
-    def first_alone(ctx, residual, jacobian, starts, tol):
+    residual, jacobian = partial(_zero_residual, CTX3), partial(_commutator_coords, CTX3)
+
+    def first_alone(labels, starts, tol):
         for i, ks in enumerate(starts):
-            if _levenberg_marquardt(ctx, residual, jacobian, ks[None], tol)[1][0] <= tol:
+            if _levenberg_marquardt(CTX3, residual, jacobian, ks[None], labels, tol)[1][0] <= tol:
                 return i
         return None
 
     # a start at the maximum of |X1 + X2 + X3| stalls, so trial 0 fails
-    hs = [weyl_normalize(v) for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
-                                      [0.45, 0.05, -0.5])]
-    residual, jacobian = _zero_callbacks(CTX3, hs)
+    labels = np.array([[weyl_normalize(v).matrix for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
+                                                           [0.45, 0.05, -0.5])]])
     aligned = np.array([np.eye(3, dtype=complex)] * 3)
     starts = np.array([aligned] + [CTX3.random_unitary(np.random.default_rng((3, i)), (3,))
                                    for i in range(1, 8)])
-    trial, _, _ = _solve(CTX3, residual, jacobian, 3, 1e-10, 8, start=lambda rng: aligned)
-    assert trial == first_alone(CTX3, residual, jacobian, starts, 1e-10) > 0
+    (trial, _, _), = _solve(CTX3, residual, jacobian, labels, [3], 1e-10, 8, first=aligned[None])
+    assert trial == first_alone(labels, starts, 1e-10) > 0
     # near rounding level, the first random trials of some inputs fail too
     rng = np.random.default_rng(5)
     winners = []
     for seed in range(12):
         hs = _zero_sum_spectra(CTX3, rng, 0.5)
         sol = solve_moment_zero(CTX3, *hs, seed=seed, tol=1e-15, restarts=6)
-        residual, jacobian = _zero_callbacks(CTX3, hs)
         starts = np.array([CTX3.random_unitary(np.random.default_rng((seed, i)), (3,))
                            for i in range(6)])
         got = None if isinstance(sol, NoSolution) else sol.trial
-        assert got == first_alone(CTX3, residual, jacobian, starts, 1e-15), seed
+        assert got == first_alone(np.array([[h.matrix for h in hs]]), starts, 1e-15), seed
         winners.append(got)
     assert any(w not in (0, None) for w in winners)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_problems_do_not_couple(n):
+    """Every problem of a batch ends as it does alone: same trial, points, residual and best
+    residual.  The batch mixes feasible and infeasible triples, and at tol 1e-15 some feasible
+    ones are won by a trial above 0 or not at all."""
+    ctx, scale = (CTX2, 4.0) if n == 2 else (CTX3, 0.5)
+    rng = np.random.default_rng((n, 41))
+    problems = [_zero_sum_spectra(ctx, rng, scale) for _ in range(8)]
+    problems += [[weyl_normalize(np.linspace(x, -x, n)) for x in (1.0, y, 0.2)]
+                 for y in (0.2, 0.3, 0.5)]  # the first spectrum outweighs the other two
+    batch = _solve_zero(ctx, problems, list(range(len(problems))), 1e-15, 6)
+    alone = [solve_moment_zero(ctx, *hs, seed=seed, tol=1e-15, restarts=6)
+             for seed, hs in enumerate(problems)]
+    assert all(isinstance(sol, NoSolution) for sol in alone[8:])
+    assert any(isinstance(sol, MomentSolution) and sol.trial > 0 for sol in alone[:8])
+    for a, b in zip(batch, alone, strict=True):
+        if isinstance(b, NoSolution):
+            assert a == b  # the same best residual, bit for bit, and trial count
+            continue
+        assert (a.trial, a.residual, a.regularity_rank) == (b.trial, b.residual, b.regularity_rank)
+        for p, q in zip(a.points, b.points, strict=True):
+            assert np.array_equal(p.X, q.X) and np.array_equal(p.witness, q.witness)
+    huge = [weyl_normalize(np.linspace(1e300, -1e300, n))] * 3  # overflows the state at once
+    for solve in (lambda: solve_moment_zero(ctx, *huge),
+                  lambda: _solve_zero(ctx, problems[:2] + [huge], [0, 1, 2], 1e-10, 4)):
+        with pytest.raises(ToleranceNotMet, match="non-finite"):
+            solve()
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +462,34 @@ def test_horn_margin_matches_the_solver_at_n3():
     assert min(counts.values()) >= 10
 
 
+def test_infeasible_distance_record_fails_a_driver_that_gives_up(monkeypatch):
+    """A driver capped at 5 iterations still returns ``NoSolution`` where Horn says so, but its
+    best residual misses the closed-form distance, and the n = 2 record fails."""
+    verify = importlib.import_module("trinion.verify")
+    orbits = importlib.import_module("trinion.orbits")
+    names = ["moment.oracle_agreement.n2", "moment.infeasible_distance.n2"]
+    records = {r.name: r for r in verify.suite_moment_oracle(grid=3)}
+    assert all(records[name].status for name in names)
+    monkeypatch.setattr(orbits, "_MAX_ITER", 5)
+    records = {r.name: r for r in verify.suite_moment_oracle(grid=3)}
+    assert records[names[0]].status and not records[names[1]].status
+
+
 def test_feasible_residual_record_reads_the_returned_points(monkeypatch):
     """The n = 2 feasible-residual record fails when a returned point misses the zero sum."""
     verify = importlib.import_module("trinion.verify")
-    solve = verify.solve_moment_zero
+    solve = verify._solve_zero
 
-    def perturbed(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        if isinstance(sol, MomentSolution):
-            sol.points[0].X = sol.points[0].X + 1e-6 * CTX2.compact_basis[0]
-        return sol
+    def perturbed(*args):
+        sols = solve(*args)
+        for sol in sols:
+            if isinstance(sol, MomentSolution):
+                sol.points[0].X = sol.points[0].X + 1e-6 * CTX2.compact_basis[0]
+        return sols
 
     record = {r.name: r for r in verify.suite_moment_oracle(grid=2)}["moment.feasible_residual.n2"]
     assert record.status and record.residual > 0.0
-    monkeypatch.setattr(verify, "solve_moment_zero", perturbed)
+    monkeypatch.setattr(verify, "_solve_zero", perturbed)
     record = {r.name: r for r in verify.suite_moment_oracle(grid=2)}["moment.feasible_residual.n2"]
     assert not record.status
 
@@ -456,9 +503,13 @@ def test_horn_skip_keeps_the_sampled_solutions(seed, count, lo, hi, monkeypatch)
     """Skipping the solves Horn rules out changes no solution, and every solve succeeds."""
     verify = importlib.import_module("trinion.verify")
     outcomes = []
-    solve = verify.solve_moment_zero
-    monkeypatch.setattr(verify, "solve_moment_zero",
-                        lambda *a, **k: outcomes.append(solve(*a, **k)) or outcomes[-1])
+    solve = verify._solve_zero
+
+    def recorded(*args):
+        outcomes.extend(sols := solve(*args))
+        return sols
+
+    monkeypatch.setattr(verify, "_solve_zero", recorded)
     skipped = verify._gauge_fixed_solutions(CTX3, seed, count, lo, hi)
     assert outcomes and not any(isinstance(o, NoSolution) for o in outcomes)
     monkeypatch.setattr(verify, "_horn_margin", lambda thetas: 1.0)
