@@ -8,7 +8,7 @@ Run from the repository root:
 Each run measures the trinion sources under ``--src`` (this checkout's
 ``src`` by default) and stores them as one column of the output file, named
 by ``--label``; the other columns already in the file are kept, so two runs
-give a before/after table.  Three sets of figures are measured, with BLAS and OpenMP
+give a before/after table.  Four sets of figures are measured, with BLAS and OpenMP
 pinned to one thread:
 
 * ``expm_us_per_matrix``: ``lie_core._expm`` on stacks of 1, 21, 99 and 768
@@ -27,10 +27,16 @@ pinned to one thread:
   ``minor_faults`` and ``system_s``: the process's minor page faults and
   system CPU seconds per pass (``resource.getrusage``) over passes 1-3, after
   pass 0 has warmed the process up.  They depend on the host's allocator.
+  ``transport_digest``: a SHA-256 of the bytes of every ``_transport``
+  result over the counted passes, equal on two trees whose transports agree
+  bit for bit.
 * ``peak_traced_bytes``: the peak of the memory ``tracemalloc`` traces
   during one ``_transport`` call, above what was traced before it: a
   33-connection stack along ``double_wind`` (the goldman stack at n = 3)
   and ten contours of one connection at n = 3, both at tol 1e-10.
+* ``round_us``: the best of five repeats of one ``_step_doubling`` round at
+  n = 3, in microseconds: one fresh panel of one connection, and 15 fresh
+  panels of 33 connections (the goldman stack's round) along ``double_wind``.
 
 A failed check, or a private function whose signature no longer fits the
 wrappers, ends the run with a non-zero exit status.
@@ -44,6 +50,7 @@ for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_v] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -91,7 +98,7 @@ def goldman_counts(holonomy, seed, passes):
     import workloads
 
     counts = {"step_doubling_calls": 0, "expm_matrices": 0, "accepted_panels": 0}
-    tols = []
+    tols, digest = [], hashlib.sha256()
     # the transport exponentiates (n, n, M) stacks through _expm_stack
     transport, step_doubling, expm = (holonomy._transport, holonomy._step_doubling,
                                       holonomy._expm_stack)
@@ -99,9 +106,11 @@ def goldman_counts(holonomy, seed, passes):
     def counted_transport(*args):
         tols.append(args[-1])
         try:
-            return transport(*args)
+            out = transport(*args)
         finally:
             tols.pop()
+        digest.update(np.ascontiguousarray(out).tobytes())
+        return out
 
     def counted_step_doubling(*args):
         out = step_doubling(*args)
@@ -123,6 +132,7 @@ def goldman_counts(holonomy, seed, passes):
         for i in range(passes + 1):  # counted over passes 0 to passes - 1, faults over 1 to passes
             if i == passes:
                 counted = dict(counts)
+                counted_digest = digest.hexdigest()
             before = resource.getrusage(resource.RUSAGE_SELF)
             for call in workloads.WORKLOADS["goldman"].make_pass(env, seed, i):
                 if not all(r.residual <= r.tolerance for r in call.fn()):
@@ -135,18 +145,23 @@ def goldman_counts(holonomy, seed, passes):
         holonomy._transport, holonomy._step_doubling = transport, step_doubling
         holonomy._expm_stack = expm
     return ({k: v / passes for k, v in counted.items()} | {"passes": passes, "seed": seed}
+            | {"transport_digest": counted_digest}
             | {"minor_faults": faults / passes, "system_s": round(system / passes, 4),
                "fault_passes": list(range(1, passes + 1))})
 
 
-def peak_traced_bytes(holonomy, lie_core):
+def goldman_residues(lie_core):
+    """33 residue pairs at n = 3, the size of the goldman workload's stack."""
     import numpy as np
 
-    cat = holonomy.builtin_catalogue()
     ctx = lie_core.build_algebra(3)
     rng = np.random.default_rng(SEED)
-    x1s = np.array([ctx.random_compact(rng, 0.12) for _ in range(33)])
-    x2s = np.array([ctx.random_compact(rng, 0.12) for _ in range(33)])
+    return tuple(np.array([ctx.random_compact(rng, 0.12) for _ in range(33)]) for _ in range(2))
+
+
+def peak_traced_bytes(holonomy, lie_core):
+    cat = holonomy.builtin_catalogue()
+    x1s, x2s = goldman_residues(lie_core)
     jobs = {"double_wind_b33_n3": (x1s, x2s, [cat.contours["double_wind"]]),
             "ten_paths_b1_n3": (x1s[:1], x2s[:1], list(cat.contours.values())[:10])}
     out = {}
@@ -157,6 +172,30 @@ def peak_traced_bytes(holonomy, lie_core):
         holonomy._transport(a, b, 1.0, paths, 1e-10)
         out[name] = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.stop()
+    return out
+
+
+def round_us(holonomy, lie_core):
+    import numpy as np
+
+    segs = holonomy.builtin_catalogue().contours["double_wind"].segments
+    x1s, x2s = goldman_residues(lie_core)
+    table, ws = holonomy._segment_table(segs), lie_core._workspace()
+    out = {}
+    for name, stack, panels in (("b1_p1_n3", 1, 1), ("b33_p15_n3", 33, 15)):
+        basis = holonomy._bracket_basis(x1s[:stack], x2s[:stack])
+        s0 = np.arange(panels) / (4 * panels)  # the first quarter of the first arc
+        args = (table, np.zeros(panels, int), s0, np.full(panels, 0.25 / panels),
+                np.zeros(panels, bool), np.empty((3, 3, stack, 0), complex), basis, 1.0, ws)
+        reps = 3000 // (stack * panels) + 20
+        holonomy._step_doubling(*args)
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                holonomy._step_doubling(*args)
+            best = min(best, (time.perf_counter() - t0) / reps)
+        out[name] = round(1e6 * best, 2)
     return out
 
 
@@ -180,6 +219,7 @@ def main():
         "expm_us_per_matrix": expm_timings(lie_core),
         "goldman_per_pass": goldman_counts(holonomy, SEED, PASSES),
         "peak_traced_bytes": peak_traced_bytes(holonomy, lie_core),
+        "round_us": round_us(holonomy, lie_core),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),
                         "blas_threads": 1},

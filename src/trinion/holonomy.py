@@ -101,15 +101,13 @@ class ArcSegment:
     a1: float
 
     def z(self, s):
-        return self._z_dz(s)[0]
+        return self.center + self.radius * self._turn(s)
 
     def dz(self, s):
-        return self._z_dz(s)[1]
+        return 1j * (self.a1 - self.a0) * self.radius * self._turn(s)
 
-    def _z_dz(self, s):
-        """``z`` and ``dz`` at ``s`` from one exponential."""
-        turn = np.exp(1j * (self.a0 + s * (self.a1 - self.a0)))
-        return self.center + self.radius * turn, 1j * (self.a1 - self.a0) * self.radius * turn
+    def _turn(self, s):
+        return np.exp(1j * (self.a0 + s * (self.a1 - self.a0)))
 
     def reflect(self):
         return ArcSegment(np.conj(self.center), self.radius, -self.a0, -self.a1)
@@ -301,76 +299,77 @@ def _bracket_basis(x1s, x2s):
                      br(k, l1), br(k, l2)], axis=-1).transpose(1, 2, 0, 3).copy()
 
 
-def _omega_coefficients(p, q):
-    """Coefficients of Omega on ``_bracket_basis`` from a_k = p_k X1 + q_k X2, ``(P, 10)``."""
-    (p1, p2, p3), (q1, q2, q3) = p.T, q.T
-    d = p1 * q2 - q1 * p2                     # C1 = d K
-    e = (q1 * p3 - p1 * q3) / 30.0            # C2 = e K + f1 L1 + f2 L2
-    f1, f2 = -d * p1 / 60.0, -d * q1 / 60.0
-    u1, u2 = -20.0 * p1 - p3, -20.0 * q1 - q3  # -20 a1 - a3 + C1 = u1 X1 + u2 X2 + d K
-    return np.stack([p1 + p3 / 12.0, q1 + q3 / 12.0,
-                     (u1 * q2 - u2 * p2) / 240.0, (u1 * e - d * p2) / 240.0,
-                     (u2 * e - d * q2) / 240.0, u1 * f1 / 240.0,
-                     (u1 * f2 + u2 * f1) / 240.0, u2 * f2 / 240.0,
-                     d * f1 / 240.0, d * f2 / 240.0], axis=1)
+def _omega_coefficients(pq):
+    """Coefficients of Omega on ``_bracket_basis``, ``(10, P)``, from a_k = p_k X1 + q_k X2
+    given as ``pq`` ``(2, 3, P)``, the ``p_k`` then the ``q_k``; each step below is one call."""
+    ((p1, p2, p3), (q1, q2, q3)), out = pq, np.empty((10, pq.shape[-1]), complex)
+    np.add(pq[:, 0], pq[:, 2] / 12.0, out=out[:2])
+    d, e = p1 * q2 - q1 * p2, (q1 * p3 - p1 * q3) / 30.0  # C1 = d K, C2 = e K + f1 L1 + f2 L2
+    f, u = -d * pq[:, 0] / 60.0, -20.0 * pq[:, 0] - pq[:, 2]  # -20 a1 - a3 + C1 = u X + d K
+    np.subtract(u[0] * q2, u[1] * p2, out=out[2])
+    np.subtract(u * e, d * pq[:, 1], out=out[3:5])
+    np.multiply(u[0], f, out=out[5:7])
+    out[6] += u[1] * f[0]
+    np.multiply((u[1], d, d), (f[1], f[0], f[1]), out=out[7:])
+    out[2:] /= 240.0
+    return out
 
 
 def _segment_table(segs):
-    """The segments as rows of ``(arc flags, complex columns (start, end, center), real
-    columns (radius, a0, a1))``; a column is zero in the rows of the other kind."""
+    """The constants of the segments' ``z`` and ``dz``: arc flags, and complex rows (start,
+    end - start, center, i (a1 - a0) radius, radius, a0, a1 - a0), zero in the other kind's."""
     arc = np.array([isinstance(seg, ArcSegment) for seg in segs])
-    points = np.array([(0, 0, seg.center) if a else (seg.start, seg.end, 0)
-                       for seg, a in zip(segs, arc)], dtype=complex).reshape(-1, 3).T
-    reals = np.array([(seg.radius, seg.a0, seg.a1) if a else (0, 0, 0)
-                      for seg, a in zip(segs, arc)], dtype=float).reshape(-1, 3).T
-    return arc, points, reals
+    start, end, center, radius, a0, a1 = np.array(
+        [(0, 0, seg.center, seg.radius, seg.a0, seg.a1) if a else (seg.start, seg.end, 0, 0, 0, 0)
+         for seg, a in zip(segs, arc)], dtype=complex).reshape(-1, 6).T
+    return arc, np.array([start, end - start, center, 1j * (a1 - a0) * radius, radius, a0, a1 - a0])
 
 
 def _table_points(table, g, s):
-    """``z`` and ``dz`` at parameters ``s``, ``(P, k)``, on the rows ``g`` of a segment table.
-
-    The rows of each kind form one segment whose fields are columns, so the
-    segments' own ``z`` and ``dz`` evaluate all panels at once; an arc's two
-    share one exponential.
-    """
-    arc, points, reals = table
-    (start, end, center), (radius, a0, a1) = points[:, g, None], reals[:, g, None]
-    line, on = LineSegment(start, end), arc[g, None]
-    z, dz = ArcSegment(center, radius, a0, a1)._z_dz(s)
-    return np.where(on, z, line.z(s)), np.where(on, dz, line.dz(s))
+    """``z`` and ``dz`` (``(P, 1)`` if every row is a line) at parameters ``s``, ``(P, k)``, on the
+    rows ``g`` of a segment table: the segments' own formulas for the kinds present, on ``s.T``."""
+    (arc, cols), s = table, s.T
+    if lines := not (on := arc[g]).all():
+        start, step = cols[:2].take(g, axis=1)
+        z, dz = start + s * step, step[None]
+    if on.any():
+        center, lead, radius, a0, da = cols[2:].take(g, axis=1)
+        turn = np.exp(1j * (a0.real + s * da.real))
+        za, dza = center + radius * turn, lead * turn
+        z, dz = (np.where(on, za, z), np.where(on, dza, dz)) if lines else (za, dza)
+    return z.T, dz.T
 
 
 def _magnus_propagators(table, g, s0, h, basis, scale, ws):
     """Magnus propagators of panels ``[s0_i, s0_i + h_i]`` of segment table rows ``g_i``,
     ``(n, n, B, P)``, from the ``_bracket_basis``; a view of the workspace ``ws``."""
-    s = s0[:, None] + h[:, None] * _GL_NODES
-    z, dz = _table_points(table, g, s)
-    w = (-scale) * dz * h[:, None]
-    coef = _omega_coefficients((w / (z - 1.0)) @ _MAGNUS_W.T, (w / (z + 1.0)) @ _MAGNUS_W.T)
+    s = s0 + h * _GL_NODES[:, None]  # the nodes, (3, P)
+    z, dz = (a.T for a in _table_points(table, g, s.T))
+    w, y = (-scale) * dz * h, np.stack((z - 1.0, z + 1.0))
+    coef = _omega_coefficients(_MAGNUS_W @ np.divide(w, y, out=y))
     lead = basis.shape[:3]
-    omega = np.matmul(basis.reshape(-1, basis.shape[-1]), coef.T,
+    omega = np.matmul(basis.reshape(-1, basis.shape[-1]), coef,
                       out=ws.take("x", (math.prod(lead), len(s0))))
-    if not (finite := np.isfinite(omega).all(axis=0)).all():  # the segment goes with the error
-        raise ToleranceNotMet("non-finite transport state", g[np.argmin(finite)])
-    return _expm_stack(omega.reshape(lead[:2] + (-1,)), ws).reshape(lead + (len(s0),))
+    try:
+        return _expm_stack(omega.reshape(lead[:2] + (-1,)), ws).reshape(lead + (len(s0),))
+    except FloatingPointError:  # the segment goes with the error
+        raise ToleranceNotMet("non-finite transport state", g[np.isfinite(omega).all(0).argmin()])
 
 
 def _step_doubling(table, g, s0, h, known, prior, basis, scale, ws):
     """Products of the panels' halves ``(n, n, B, P)``, the propagators ``(n, n, B, 3P - K)``
-    whose first ``2P`` are the halves, and the step-doubling errors; both stacks are views of
-    the workspace ``ws``.
-
-    The ``K`` panels marked ``known`` take their one-panel propagators from ``prior``.  An error
-    is the largest entry of |two-half - one-panel| over the batch over the larger of the two,
-    at most 2."""
-    m, fresh = len(s0), ~known
+    whose first ``2P`` are the halves, both views of the workspace ``ws``, and the errors: the
+    largest entry of |two-half - one-panel| over the batch over the larger of the two, at most
+    2.  The ``K`` panels marked ``known`` take their one-panel propagators from ``prior``."""
+    m, half, fresh = len(s0), h / 2, (~known).nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _magnus_propagators(table, np.concatenate([g, g, g[fresh]]),
-                                np.concatenate([s0, s0 + h / 2, s0[fresh]]),
-                                np.concatenate([h / 2, h / 2, h[fresh]]), basis, scale, ws)
+        e = _magnus_propagators(table, np.concatenate((g, g, g[fresh])),
+                                np.concatenate((s0, s0 + half, s0[fresh])),
+                                np.concatenate((half, half, h[fresh])), basis, scale, ws)
         shape = e.shape[:3] + (m,)
-        one = ws.take("x", shape)
-        one[..., fresh], one[..., known] = e[..., 2 * m:], prior
+        one = ws.take("x", shape)  # the fresh propagators, then the prior ones, in panel order
+        src = np.concatenate((e[..., 2 * m:], prior), axis=-1, out=ws.take("t", shape))
+        src.take(np.argsort(np.argsort(known, kind="stable")), axis=-1, out=one, mode="clip")
         tmp, mag = ws.take("t", shape), ws.take("p1", shape, float)
         prod = _stack_product(e[..., m:2 * m], e[..., :m], tmp, ws.take("p0", shape))
         size = np.maximum(np.abs(prod, out=mag).max(axis=(0, 1, 2)),
@@ -382,37 +381,34 @@ def _step_doubling(table, g, s0, h, known, prior, basis, scale, ws):
 
 
 def _tree_product(props, at, runs, ws):
-    """Product of each run of equal adjacent ``runs`` of the factors ``props[..., at]``, from a
-    contiguous stack ``(n, n, ..., m)``, as a pairwise product tree, the run's first matrix
-    rightmost: ``(n, n, ..., runs)``, a view of the workspace ``ws``.  A product overwrites its
-    right factor in ``props``."""
-    while (same := runs[1:] == runs[:-1]).any():
-        i = np.arange(len(runs))
-        lead = (i - np.maximum.accumulate(np.where(np.append(True, ~same), i, 0))) % 2 == 0
-        pair = np.flatnonzero(lead & np.append(same, False))  # even places with a successor
-        shape = props.shape[:-1] + (len(pair),)
-        a = np.take(props, at[pair], axis=-1, out=ws.take("p0", shape), mode="clip")
-        b = np.take(props, at[pair + 1], axis=-1, out=ws.take("p1", shape), mode="clip")
-        props[..., at[pair]] = _stack_product(b, a, ws.take("t", shape), ws.take("x2", shape))
-        at, runs = at[lead], runs[lead]
-    return np.take(props, at, axis=-1, out=ws.take("x2", props.shape[:-1] + (len(at),)),
-                   mode="clip")
+    """Product of each run of equal adjacent ``runs`` (nondecreasing) of the factors
+    ``props[..., at]``, from a contiguous stack ``(n, n, ..., m)``, as a pairwise product tree,
+    the run's first matrix rightmost: ``(n, n, ..., runs)``, a view of the workspace ``ws``.  A
+    product overwrites its right factor in ``props``."""
+    off = np.arange(len(runs)) - runs.searchsorted(runs)  # each factor's place in its run
+    # pair each even place with its successor in the run, which has an odd place
+    while len(pair := (odd := (off & 1).astype(bool))[1:].nonzero()[0]):
+        left, shape = at[pair], props.shape[:-1] + (len(pair),)
+        a = props.take(left, axis=-1, out=ws.take("p0", shape), mode="clip")
+        b = props.take(at[pair + 1], axis=-1, out=ws.take("p1", shape), mode="clip")
+        props[..., left] = _stack_product(b, a, ws.take("t", shape), ws.take("x2", shape))
+        at, off = at[~odd], off[~odd] >> 1
+    return props.take(at, axis=-1, out=ws.take("x2", props.shape[:-1] + (len(at),)), mode="clip")
 
 
 def _transport(x1s, x2s, scale, paths, tol):
     """Transports of the residue stacks ``(B, n, n)`` along each path, ``(len(paths), B, n, n)``.
 
     A path is a ``Contour`` (errors name it so) or a segment list (``path i``).  One table
-    holds every unresolved panel of every path as a (segment, start, width) row in path
+    holds every unresolved panel of every path as a (segment, start, width) column in path
     order.  Each round compares its next panels, up to ``_CHUNK`` matrices (one more per
     panel for its Magnus data), with their two halves; the error is the maximum over the
     stack.  A panel whose error exceeds ``tol * h`` is split into ``ceil((err / (tol h))^(1/6))``
     parts (the local error scales as ``h^7``); parts of a panel split in two reuse its
     halves.  Resolved panels are held until they make ``_CHUNK`` matrices or the table
     empties, then each path's resolved prefix is folded in as one product tree.  Overflow
-    at a fold ends the transport, which bounds the work any input can cause.  The rounds
-    write every stack, the held panels and the one-panel propagators of split panels into
-    the thread's workspace, fetched once per call.
+    at a fold ends the transport, which bounds the work any input can cause.  Every stack,
+    held panel and stored propagator lives in the thread's workspace, fetched once per call.
     """
     names = [p.name if isinstance(p, Contour) else f"path {i}" for i, p in enumerate(paths)]
     paths = [p.segments if isinstance(p, Contour) else list(p) for p in paths]
@@ -427,64 +423,65 @@ def _transport(x1s, x2s, scale, paths, tol):
     lead = basis.shape[:3]
     n, stack, ws = lead[0], lead[2], _workspace()
     psi = np.tile(np.eye(n, dtype=complex)[:, :, None, None], (1, 1, stack, len(paths)))
-    g, s0, h = np.arange(len(segs)), np.zeros(len(segs)), np.ones(len(segs))
-    # rows holding a one-panel propagator; the propagators are the first ``stored`` columns of
-    # the workspace's "store", the first such row's last
-    has, stored, store = np.zeros(len(segs), bool), 0, ws.columns("store", lead, 0, 0)
-    # resolved panels not yet folded, their propagators in the workspace's "held"
-    hg, hs, hp = np.zeros(0, int), np.zeros(0), ws.columns("held", lead, 0, 0)
-    while len(g):
-        k = max(1, np.searchsorted(np.cumsum(3 - has) * (stack + 1), _CHUNK, "right"))
-        c = has[:k].sum()
+    # the unresolved panels, columns (segment, start, width, holds its one-panel propagator);
+    # those propagators are the first ``stored`` columns of "store", the first panel's last
+    tab = np.zeros((4, len(segs)))
+    tab[0], tab[2], stored, store = np.arange(len(segs)), 1.0, 0, ws.columns("store", lead, 0, 0)
+    # resolved panels not yet folded, columns (segment, start), their propagators in "held"
+    held, hp = np.zeros((2, 0)), ws.columns("held", lead, 0, 0)
+    while tab.shape[1]:  # a round takes the next panels whose matrices fit the budget
+        k = max(1, (cost := (3 - tab[3]).cumsum()).searchsorted(_CHUNK // (stack + 1), "right"))
+        (s0, h, has), g, c = tab[1:, :k], tab[0, :k].astype(int), 3 * k - int(cost[k - 1])
         try:
-            props, halves, err = _step_doubling(table, g[:k], s0[:k], h[:k], has[:k],
+            props, halves, err = _step_doubling(table, g, s0, h, has > 0,
                                                 store[..., stored - c:stored][..., ::-1],
                                                 basis, scale, ws)
         except ToleranceNotMet as exc:
             raise ToleranceNotMet(f"{names[owner[exc.args[1]]]}: {exc.args[0]}") from None
-        ok = err <= (goal := np.maximum(tol * h[:k], _ROUNDOFF))
-        acc = np.flatnonzero(ok)
-        hp = ws.columns("held", lead, len(hg) + len(acc), len(hg))
-        hp[..., len(hg):len(hg) + len(acc)] = np.take(props, acc, axis=-1, mode="clip",
-                                                      out=ws.take("x", lead + (len(acc),)))
-        hg, hs = np.append(hg, g[acc]), np.append(hs, s0[acc])
-        # a rejected panel is replaced by its parts, a resolved one leaves the table
-        parts = np.where(ok, 0, np.maximum(2, np.ceil((err / goal) ** (1.0 / 6.0))).astype(int))
-        w = h[:k] / np.maximum(parts, 1)
-        if (thin := ~ok & (w < _MIN_PANEL)).any():
-            raise ToleranceNotMet(names[owner[g[thin.argmax()]]] + ": adaptive panel width underflow")
-        j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
-        two = parts == 2  # the halves of a panel split in two go to its parts
-        top = (np.flatnonzero(two) + [[0], [k]]).T.ravel()[::-1]
+        ok = err <= (goal := np.maximum(tol * h, _ROUNDOFF))
+        acc, h0 = ok.nonzero()[0], held.shape[1]
+        hp = ws.columns("held", lead, h0 + len(acc), h0)
+        hp[..., h0:h0 + len(acc)] = props if len(acc) == k else props.take(
+            acc, axis=-1, mode="clip", out=ws.take("x", lead + (len(acc),)))
+        held = np.concatenate((held, tab[:2, acc]), axis=1)
         stored -= c
+        # a rejected panel is replaced by its parts, a resolved one leaves the table
+        parts = np.where(ok, 0, np.maximum(2, np.ceil((err / goal) ** (1.0 / 6.0)))).astype(int)
+        w = h / np.maximum(parts, 1)
+        if (thin := w < _MIN_PANEL).any():  # a resolved panel keeps its width
+            raise ToleranceNotMet(names[owner[g[thin.argmax()]]] + ": adaptive panel width underflow")
+        j = np.arange((ends := parts.cumsum())[-1]) - (ends - parts).repeat(parts)
+        two = parts == 2  # the halves of a panel split in two go to its parts
+        top = (two.nonzero()[0][::-1, None] + [k, 0]).ravel()
         store = ws.columns("store", lead, stored + len(top), stored)
-        store[..., stored:stored + len(top)] = np.take(halves, top, axis=-1, mode="clip",
-                                                       out=ws.take("x", lead + (len(top),)))
+        store[..., stored:stored + len(top)] = halves.take(top, axis=-1, mode="clip",
+                                                           out=ws.take("x", lead + (len(top),)))
         stored += len(top)
-        has = np.append(np.repeat(two, parts), has[k:])
-        g, s0, h = (np.concatenate([np.repeat(g[:k], parts), g[k:]]),
-                    np.concatenate([np.repeat(s0[:k], parts) + j * np.repeat(w, parts), s0[k:]]),
-                    np.concatenate([np.repeat(w, parts), h[k:]]))
-        if len(g) and len(hg) * stack < _CHUNK:
+        tab[2, :k], tab[3, :k] = w, two
+        new = tab[:, :k].repeat(parts, axis=1)
+        new[1] += j * new[2]
+        tab = np.concatenate((new, tab[:, k:]), axis=1)
+        if tab.shape[1] and held.shape[1] * stack < _CHUNK:
             continue
         # fold the held panels before their path's front, its first table row (past the end if none)
-        first = np.flatnonzero(np.diff(owner[g], prepend=-1))
-        fg, fs = np.full(len(paths), len(segs)), np.zeros(len(paths))
-        fg[owner[g[first]]], fs[owner[g[first]]] = g[first], s0[first]
-        ready = (hg < fg[ho := owner[hg]]) | ((hg == fg[ho]) & (hs < fs[ho]))
-        order = np.flatnonzero(ready)[np.lexsort((hs[ready], hg[ready]))]
-        runs, keep = ho[order], np.flatnonzero(~ready)
-        on = runs[np.flatnonzero(np.diff(runs, prepend=-1))]
+        o, (hg, hs), ho = owner[tab[0].astype(int)], held, owner[held[0].astype(int)]
+        first = (o != np.concatenate(([-1], o[:-1]))).nonzero()[0]
+        front = np.zeros((2, len(paths)))
+        front[0], front[:, o[first]] = len(segs), tab[:2, first]
+        ready = (hg < front[0, ho]) | ((hg == front[0, ho]) & (hs < front[1, ho]))
+        order = ready.nonzero()[0][np.lexsort((hs[ready], hg[ready]))]
+        runs, keep = ho[order], (~ready).nonzero()[0]
+        on = runs[runs != np.concatenate(([-1], runs[:-1]))]
         with np.errstate(over="ignore", invalid="ignore"):
             tree = _tree_product(hp, order, runs, ws)
-            start = np.take(psi, on, axis=-1, mode="clip", out=ws.take("p0", tree.shape))
+            start = psi.take(on, axis=-1, mode="clip", out=ws.take("p0", tree.shape))
             psi[..., on] = end = _stack_product(tree, start, ws.take("t", tree.shape),
                                                 ws.take("p1", tree.shape))
         if not (finite := np.isfinite(end).all(axis=(0, 1, 2))).all():
             raise ToleranceNotMet(f"{names[on[np.argmin(finite)]]}: holonomy overflows")
-        hp[..., :len(keep)] = np.take(hp, keep, axis=-1, mode="clip",
+        hp[..., :len(keep)] = hp.take(keep, axis=-1, mode="clip",
                                       out=ws.take("p0", lead + (len(keep),)))
-        hg, hs = hg[keep], hs[keep]
+        held = held[:, keep]
     return np.ascontiguousarray(psi.transpose(3, 2, 0, 1))
 
 

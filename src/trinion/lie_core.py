@@ -161,15 +161,17 @@ def _expm_stack(x, ws):
     lazily: a slot grows only for a stack larger than any before it, so a warm
     call allocates nothing of the stack's size.  ``x`` may be the ``"x"`` slot.
     The result is a contiguous view of the ``"r0"`` or ``"r1"`` slot, valid
-    until the next kernel call.
+    until the next kernel call.  A non-finite 1-norm raises ``FloatingPointError``.
     """
     n = len(x)
-    norm = np.abs(x, out=ws.take("p1", x.shape, float))
-    norm = norm.sum(axis=0, out=ws.take("x2", norm.shape[1:], float)).max(axis=0)
-    top = norm.max(initial=0.0)
+    cols = np.abs(x, out=ws.take("p1", x.shape, float))
+    cols = cols.sum(axis=0, out=ws.take("x2", x.shape[1:], float))  # column sums, (n, M)
+    if not math.isfinite(top := cols.max(initial=0.0)):
+        raise FloatingPointError("non-finite matrix")
     m, theta = next((d for d in _TAYLOR if top <= d[1]), _TAYLOR[-1])
-    s = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
-    if s.any():
+    s = np.zeros(0, int)  # squarings: past the degree-16 bound, each matrix by its own norm
+    if top > theta:
+        s = np.ceil(np.log2(np.maximum(cols.max(axis=0), theta) / theta)).astype(int)
         x *= 0.5 ** s
     q, tmp = math.isqrt(m - 1) + 1, ws.take("t", x.shape)
     powers = [x]  # X^1 .. X^q
@@ -188,7 +190,7 @@ def _expm_stack(x, ws):
             out += np.multiply(powers[k - 1], _INV_FACTORIAL[j + k], out=tmp)
         out.reshape(n * n, -1)[::n + 1] += _INV_FACTORIAL[j]  # the diagonal
         r = out
-    for k in range(int(s.max(initial=0))):
+    for k in range(s.max(initial=0)):
         sq = np.flatnonzero(s > k)
         rs = np.take(r, sq, axis=-1, out=ws.take("p0", (n, n, len(sq))), mode="clip")
         r[..., sq] = _stack_product(rs, rs, ws.take("t", rs.shape), ws.take("p1", rs.shape))

@@ -275,14 +275,14 @@ def _commutator_coords(ctx, xs):
     xs, basis = np.asarray(xs), ctx.compact_basis
     comms = (np.einsum("aij,...mjk->...maik", basis, xs)
              - np.einsum("...mij,ajk->...maik", xs, basis))
-    comms = comms.reshape(xs.shape[:-3] + (-1, ctx.n, ctx.n))
+    comms = comms.reshape(xs.shape[:-3] + (xs.shape[-3] * len(basis), ctx.n, ctx.n))
     return -np.real(np.einsum("bij,...aji->...ba", basis, comms))
 
 
 def _regularity(ctx, xs):
-    """Rank of the diagonal-action differential; detects continuous stabilizers."""
+    """Rank(s) of the diagonal-action differential; detects continuous stabilizers."""
     sv = np.linalg.svd(_commutator_coords(ctx, xs), compute_uv=False)
-    return int(np.sum(sv > 1e-6))
+    return np.sum(sv > 1e-6, axis=-1).tolist()
 
 
 def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
@@ -297,17 +297,17 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
 
 def _solve_zero(ctx, problems, seeds, tol, restarts):
     """``solve_moment_zero`` of each triple ``problems[p]`` with seed ``seeds[p]``, as one batch."""
-    hmats = np.array([[h.matrix for h in hs] for hs in problems])
+    hmats = np.array([[h.matrix for h in hs] for hs in problems]).reshape(-1, 3, ctx.n, ctx.n)
     with np.errstate(all="ignore"):  # huge spectra overflow the state, and _solve raises
         found = _solve(ctx, partial(_zero_residual, ctx), partial(_commutator_coords, ctx), hmats,
                        seeds, tol, restarts)
-    for p, (hs, won) in enumerate(zip(problems, found)):
-        if not isinstance(won, NoSolution):
-            trial, ks, res = won
-            xs, _ = _zero_residual(ctx, ks, hmats[p])
-            pts = [OrbitPoint(X=x, H=h, witness=k) for x, h, k in zip(xs, hs, ks)]
-            found[p] = MomentSolution(kind="zero", points=pts, residual=float(res),
-                                      regularity_rank=_regularity(ctx, xs), trial=trial)
+    solved = [p for p, won in enumerate(found) if not isinstance(won, NoSolution)]
+    ks = np.array([found[p][1] for p in solved]).reshape((-1,) + hmats.shape[1:])
+    xs, _ = _zero_residual(ctx, ks, hmats[solved])
+    for p, k, x, rank in zip(solved, ks, xs, _regularity(ctx, xs)):
+        pts = [OrbitPoint(X=xi, H=h, witness=ki) for xi, h, ki in zip(x, problems[p], k)]
+        found[p] = MomentSolution(kind="zero", points=pts, residual=float(found[p][2]),
+                                  regularity_rank=rank, trial=found[p][0])
     return found
 
 

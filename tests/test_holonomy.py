@@ -148,6 +148,29 @@ def test_integrator_order():
     assert coarse / fine > 40
 
 
+def test_omega_coefficients_match_the_magnus_formula():
+    """The ten coefficients on the bracket basis give the sixth-order exponent of Blanes,
+    Casas and Ros, built here from explicit commutators of a_k = p_k X1 + q_k X2:
+    a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240, C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60."""
+    from trinion.holonomy import _bracket_basis, _omega_coefficients
+
+    def br(a, b):
+        return a @ b - b @ a
+
+    rng = np.random.default_rng(41)
+    for ctx in (CTX2, CTX3):
+        x1, x2 = ctx.random_compact(rng, 0.5), ctx.random_compact(rng, 0.5)
+        pq = rng.normal(size=(2, 3, 9)) + 1j * rng.normal(size=(2, 3, 9))
+        basis = _bracket_basis(x1[None], x2[None])[:, :, 0]  # (n, n, 10)
+        got = np.einsum("ijc,cp->pij", basis, _omega_coefficients(pq))
+        for p, q, omega in zip(pq[0].T, pq[1].T, got, strict=True):
+            a1, a2, a3 = (pk * x1 + qk * x2 for pk, qk in zip(p, q))
+            c1 = br(a1, a2)
+            c2 = -br(a1, 2 * a3 + c1) / 60
+            want = a1 + a3 / 12 + br(-20 * a1 - a3 + c1, a2 + c2) / 240
+            assert np.linalg.norm(omega - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_segment_table_is_each_segments_own_z_and_dz():
     """One evaluation over a table of mixed segments gives each segment's own values."""
     from trinion.holonomy import _segment_table, _table_points
