@@ -218,6 +218,10 @@ class AlgebraContext:
     cartan_frame : ndarray, shape (n-1, n)
         Rows ``v_m`` realizing ``cartan_basis[m] = i diag(v_m)``; maps
         diagonal spectra to Cartan coordinates.
+    bracket_table : ndarray, shape (2n^2, N^2)
+        Column ``b*N + a`` holds ``-Re`` and ``+Im`` of the transposed
+        entries of ``[t_b, t_a]``, interleaved, so that ``x.view(float)`` of
+        a flattened complex ``x`` times the table is ``-Re tr([t_b, t_a] x)``.
     """
 
     def __init__(self, n):
@@ -240,6 +244,10 @@ class AlgebraContext:
         self.real_basis = np.concatenate([self.compact_basis, 1j * self.compact_basis])
         self.positive_roots = offs
         self.dim_compact = n * n - 1
+        basis, nb = self.compact_basis, self.dim_compact
+        comms = (basis[:, None] @ basis - basis @ basis[:, None]).swapaxes(-1, -2)
+        comms = comms.reshape(nb * nb, n * n)
+        self.bracket_table = np.stack([-comms.real, comms.imag], -1).reshape(nb * nb, -1).T.copy()
         self._fd_exponentials = {}
 
     def root_generator(self, j, k):
@@ -285,7 +293,13 @@ class AlgebraContext:
         QR of a Ginibre matrix with the phases fixed.  A stack draws the same
         numbers as successive single calls and gives bit-equal matrices.
         """
-        z = rng.normal(size=tuple(shape) + (2, self.n, self.n))
+        return self.unitary_from_normals(rng.normal(size=tuple(shape) + (2, self.n, self.n)))
+
+    def unitary_from_normals(self, z):
+        """``random_unitary``'s SU(n) elements from its standard normals ``z``, shape
+        ``(..., 2, n, n)`` (real then imaginary parts); each matrix depends only on its own
+        normals, so one call over draws from several generators is bit-equal to a call per draw.
+        """
         q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
         d = np.diagonal(r, axis1=-2, axis2=-1)
         q = q * (d / np.abs(d))[..., None, :]

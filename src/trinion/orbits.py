@@ -141,6 +141,7 @@ def diag_dressing(ctx, k, points, u=None):
 
 def _exp_su(ctx, w):
     """Exponential of anti-Hermitian matrices (over leading axes) via eigendecomposition."""
+    # not lie_core._expm: its Taylor degree follows the stack's largest norm, coupling the rows
     vals, vecs = np.linalg.eigh(1j * w)
     return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
@@ -239,8 +240,9 @@ def _solve(ctx, residual, jacobian, labels, seeds, tol, restarts, first=None):
         if not rows:
             break
         probs = [p for p, _ in rows]
-        starts = first if trials[0] == 0 and first is not None else np.array(
-            [ctx.random_unitary(np.random.default_rng((seeds[p], j)), (3,)) for p, j in rows])
+        starts = first if trials[0] == 0 and first is not None else ctx.unitary_from_normals(
+            np.array([np.random.default_rng((seeds[p], j)).normal(size=(3, 2, ctx.n, ctx.n))
+                      for p, j in rows]))
         ks, res, _ = _levenberg_marquardt(ctx, residual, jacobian, starts, labels[probs], tol)
         for (p, trial), k, r in zip(rows, ks, res):
             if found[p] is None and r <= tol:
@@ -252,13 +254,16 @@ def _solve(ctx, residual, jacobian, labels, seeds, tol, restarts, first=None):
             for won, b in zip(found, best)]
 
 
-def _zero_residual(ctx, ks, hmats):
-    """The triple ``k_i I(H_i) k_i^{-1}`` and the coordinates of minus its sum.
+def _zero_residual(ctx, ks, diags):
+    """The triple ``k_i I(H_i) k_i^{-1}`` and the coordinates ``-Re tr(t_b m)`` of its sum m.
 
-    The coordinates ``-Re tr(t_b m)`` are summed in a fixed order, so a
-    row's residual does not depend on the stack it is evaluated in.
+    ``diags`` holds the diagonals ``i theta_i`` of the ``I(H_i)``; scaling
+    the columns of ``k_i`` by them gives the bits of ``k_i @ I(H_i)``, since
+    the product's zero terms add exactly.  The coordinates are summed in a
+    fixed order, so a row's residual does not depend on the stack it is
+    evaluated in.
     """
-    xs = ks @ hmats @ ks.conj().swapaxes(-1, -2)
+    xs = (ks * diags[..., None, :]) @ ks.conj().swapaxes(-1, -2)
     m = (xs[..., 0, :, :] + xs[..., 1, :, :] + xs[..., 2, :, :]).swapaxes(-1, -2)[..., None, :, :]
     basis = ctx.compact_basis
     return xs, -(basis.real * m.real - basis.imag * m.imag).sum(-1).sum(-1)
@@ -269,14 +274,15 @@ def _commutator_coords(ctx, xs):
 
     This is the derivative of ``sum_i x_i`` along ``k_i -> exp(s t_a) k_i``.
     The form is ad-invariant, so each ``nb x nb`` block is antisymmetric and
-    the matrix is also minus that of the diagonal infinitesimal action.
-    Leading axes of ``xs`` (shape ``(..., 3, n, n)``) are kept.
+    the matrix is also minus that of the diagonal infinitesimal action; the
+    entry is ``-Re tr([t_b, t_a] x_i)``, read off ``ctx.bracket_table`` by
+    one real product per matrix.  Leading axes of ``xs`` (shape
+    ``(..., 3, n, n)``) are kept.
     """
-    xs, basis = np.asarray(xs), ctx.compact_basis
-    comms = (np.einsum("aij,...mjk->...maik", basis, xs)
-             - np.einsum("...mij,ajk->...maik", xs, basis))
-    comms = comms.reshape(xs.shape[:-3] + (xs.shape[-3] * len(basis), ctx.n, ctx.n))
-    return -np.real(np.einsum("bij,...aji->...ba", basis, comms))
+    xs, nb = np.ascontiguousarray(xs, complex), ctx.dim_compact
+    lead, m = xs.shape[:-3], xs.shape[-3]
+    coords = xs.reshape(lead + (m, ctx.n ** 2)).view(float) @ ctx.bracket_table
+    return coords.reshape(lead + (m, nb, nb)).swapaxes(-2, -3).reshape(lead + (nb, m * nb))
 
 
 def _regularity(ctx, xs):
@@ -297,13 +303,13 @@ def solve_moment_zero(ctx, h1, h2, h3, seed=0, tol=1e-10, restarts=32):
 
 def _solve_zero(ctx, problems, seeds, tol, restarts):
     """``solve_moment_zero`` of each triple ``problems[p]`` with seed ``seeds[p]``, as one batch."""
-    hmats = np.array([[h.matrix for h in hs] for hs in problems]).reshape(-1, 3, ctx.n, ctx.n)
+    diags = 1j * np.array([[h.theta for h in hs] for hs in problems]).reshape(-1, 3, ctx.n)
     with np.errstate(all="ignore"):  # huge spectra overflow the state, and _solve raises
-        found = _solve(ctx, partial(_zero_residual, ctx), partial(_commutator_coords, ctx), hmats,
+        found = _solve(ctx, partial(_zero_residual, ctx), partial(_commutator_coords, ctx), diags,
                        seeds, tol, restarts)
     solved = [p for p, won in enumerate(found) if not isinstance(won, NoSolution)]
-    ks = np.array([found[p][1] for p in solved]).reshape((-1,) + hmats.shape[1:])
-    xs, _ = _zero_residual(ctx, ks, hmats[solved])
+    ks = np.array([found[p][1] for p in solved]).reshape(-1, 3, ctx.n, ctx.n)
+    xs, _ = _zero_residual(ctx, ks, diags[solved])
     for p, k, x, rank in zip(solved, ks, xs, _regularity(ctx, xs)):
         pts = [OrbitPoint(X=xi, H=h, witness=ki) for xi, h, ki in zip(x, problems[p], k)]
         found[p] = MomentSolution(kind="zero", points=pts, residual=float(found[p][2]),

@@ -320,6 +320,53 @@ def test_dressing_jacobian_matches_central_differences(n, twisted, t):
     assert np.max(np.abs(jac - ref_jac)) <= 1e-7 * np.max(np.abs(ref_jac))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_level_jacobian_matches_central_differences(n):
+    """The table Jacobian against central differences of the zero-level residual under
+    ``k_i -> exp(±h t_a) k_i``, h = 1e-6; a stack's rows equal their single-row Jacobians
+    bit for bit."""
+    ctx, rng, h = build_algebra(n), np.random.default_rng((n, 31)), 1e-6
+    diags = 1j * np.array([weyl_normalize(v - v.mean()).theta
+                           for v in rng.normal(0.0, 0.5, (3, n))])
+    ks = ctx.random_unitary(rng, (3,))
+    jac = _commutator_coords(ctx, _zero_residual(ctx, ks, diags)[0])
+    ref = np.zeros_like(jac)
+    nb = ctx.dim_compact
+    for i in range(3):
+        for a, ta in enumerate(ctx.compact_basis):
+            moved = [ks.copy(), ks.copy()]
+            moved[0][i], moved[1][i] = expm(h * ta) @ ks[i], expm(-h * ta) @ ks[i]
+            plus, minus = (_zero_residual(ctx, m, diags)[1] for m in moved)
+            ref[:, i * nb + a] = (plus - minus) / (2 * h)
+    assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(ref))
+    for rows in (1, 2, 31, 100):
+        xs = _zero_residual(ctx, ctx.random_unitary(rng, (rows, 3)), diags)[0]
+        stack = _commutator_coords(ctx, xs)
+        assert stack.shape == (rows, nb, 3 * nb)
+        assert all(np.array_equal(stack[r], _commutator_coords(ctx, xs[r])) for r in range(rows))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_starts_equal_single_haar_draws(n, monkeypatch):
+    """``_solve`` draws every row's normals from its own generator and turns the whole stack
+    into unitaries at once; each start is bit-equal to that generator's own Haar draw."""
+    ctx, seeds, starts = (CTX2 if n == 2 else CTX3), [7, (9100, 3)], []
+
+    def record(ctx, residual, jacobian, ks, labels, tol):
+        starts.append(ks)
+        return ks, np.ones(len(ks)), np.zeros(len(ks), int)
+
+    monkeypatch.setattr(importlib.import_module("trinion.orbits"), "_levenberg_marquardt", record)
+    found = _solve(ctx, None, None, np.zeros((2, 3, n)), seeds, 1e-10, 32)
+    assert all(isinstance(sol, NoSolution) for sol in found)
+    trial0, restarts = starts
+    got = [[trial0[p]] + list(restarts[31 * p:31 * (p + 1)]) for p in range(2)]
+    for p, seed in enumerate(seeds):
+        for j in range(32):
+            want = ctx.random_unitary(np.random.default_rng((seed, j)), (3,))
+            assert np.array_equal(got[p][j], want), (seed, j)
+
+
 # ---------------------------------------------------------------------------
 # the stacked restarts
 # ---------------------------------------------------------------------------
@@ -349,7 +396,7 @@ def test_stacked_trials_do_not_couple(level, n, feasible):
         hs = [weyl_normalize(np.linspace(x, -x, n)) for x in (1.0, 0.2, 0.2)]
     if level == "zero":
         residual, jacobian = partial(_zero_residual, ctx), partial(_commutator_coords, ctx)
-        labels, tol = np.array([h.matrix for h in hs]), 1e-10
+        labels, tol = 1j * np.array([h.theta for h in hs]), 1e-10
     else:
         residual = partial(_kstar_residual, ctx)
         jacobian = lambda mats: _dressing_jacobian(ctx, mats, None)[0]
@@ -378,8 +425,8 @@ def test_lowest_converging_trial_wins():
         return None
 
     # a start at the maximum of |X1 + X2 + X3| stalls, so trial 0 fails
-    labels = np.array([[weyl_normalize(v).matrix for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
-                                                           [0.45, 0.05, -0.5])]])
+    labels = 1j * np.array([[weyl_normalize(v).theta for v in ([0.5, 0.1, -0.6], [0.4, -0.1, -0.3],
+                                                               [0.45, 0.05, -0.5])]])
     aligned = np.array([np.eye(3, dtype=complex)] * 3)
     starts = np.array([aligned] + [CTX3.random_unitary(np.random.default_rng((3, i)), (3,))
                                    for i in range(1, 8)])
@@ -394,7 +441,7 @@ def test_lowest_converging_trial_wins():
         starts = np.array([CTX3.random_unitary(np.random.default_rng((seed, i)), (3,))
                            for i in range(6)])
         got = None if isinstance(sol, NoSolution) else sol.trial
-        assert got == first_alone(np.array([[h.matrix for h in hs]]), starts, 1e-15), seed
+        assert got == first_alone(1j * np.array([[h.theta for h in hs]]), starts, 1e-15), seed
         winners.append(got)
     assert any(w not in (0, None) for w in winners)
 
