@@ -24,7 +24,10 @@ OpenMP pinned to one thread:
 * ``iteration_us``: the time of one driver iteration, in microseconds, on
   the stack of ``T`` trial-0 rows that ``_solve_zero`` builds for ``T``
   copies of an infeasible triple at rank ``n``: (n, T) = (2, 1), (2, 31)
-  (the workload's restart stack) and (3, 8).  It is the best of five
+  (the workload's restart stack) and (3, 8); and, as ``kstar_n2_T1``, on
+  the one-row stack of the unit-product level that ``solve_moment_kstar``
+  builds for an infeasible n = 2 triple at the ``dual`` workload's ``t``,
+  tolerance and restart budget.  It is the best of five
   repeats of a driver call capped at one iteration (``orbits._MAX_ITER``),
   less the best of five of the same call capped at none, which evaluates
   only the starting residual; the repeats of the two alternate.
@@ -57,8 +60,6 @@ STACKS = ((2, 1), (2, 31), (3, 8))
 
 def algebra_counts(orbits, seed, passes):
     import numpy as np
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     counts = {"lm_calls": 0, "stack_iterations": 0, "row_iterations": 0}
@@ -121,13 +122,39 @@ def driver_args(orbits, lie_core, n, rows):
     return seen[0]
 
 
+def kstar_driver_args(orbits, lie_core):
+    """The arguments of ``solve_moment_kstar``'s unit-product driver call on an n = 2 triple
+    that breaks the triangle inequality, at the ``dual`` workload's settings: one row."""
+    import workloads
+
+    ctx = lie_core.build_algebra(2)
+    hs = [lie_core.weyl_normalize([x, -x]) for x in (0.5, 0.15, 0.12)]
+    driver, seen = orbits._levenberg_marquardt, []
+
+    def record(*args):
+        seen.append(args)
+        return driver(*args)
+
+    orbits._levenberg_marquardt = record
+    try:
+        orbits.solve_moment_kstar(ctx, *hs, t=workloads.DUAL_T, seed=0, tol=workloads.DUAL_TOL,
+                                  restarts=workloads.DUAL_INFEASIBLE_RESTARTS)
+    finally:
+        orbits._levenberg_marquardt = driver
+    if not seen or len(seen[-1][3]) != 1:
+        raise SystemExit("bench_solver: solve_moment_kstar no longer ends with a one-row "
+                         "driver call")
+    return seen[-1]
+
+
 def iteration_us(orbits, lie_core):
     out = {}
     cap = orbits._MAX_ITER
+    stacks = [(f"n{n}_T{rows}", driver_args(orbits, lie_core, n, rows)) for n, rows in STACKS]
+    stacks.append(("kstar_n2_T1", kstar_driver_args(orbits, lie_core)))
     try:
-        for n, rows in STACKS:
-            args = driver_args(orbits, lie_core, n, rows)
-            reps = 3000 // rows + 20
+        for name, args in stacks:
+            reps = 3000 // len(args[3]) + 20
             best = [float("inf")] * 2
             for _ in range(5):  # the two caps alternate, so both see the same host
                 for iterations in (0, 1):
@@ -138,7 +165,7 @@ def iteration_us(orbits, lie_core):
                     for _ in range(reps):
                         orbits._levenberg_marquardt(*args)
                     best[iterations] = min(best[iterations], (time.perf_counter() - t0) / reps)
-            out[f"n{n}_T{rows}"] = round(1e6 * (best[1] - best[0]), 2)
+            out[name] = round(1e6 * (best[1] - best[0]), 2)
     finally:
         orbits._MAX_ITER = cap
     return out
@@ -152,7 +179,7 @@ def main():
     args = ap.parse_args()
 
     src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import numpy as np
 
     lie_core = importlib.import_module("trinion.lie_core")

@@ -248,7 +248,7 @@ class AlgebraContext:
         comms = (basis[:, None] @ basis - basis @ basis[:, None]).swapaxes(-1, -2)
         comms = comms.reshape(nb * nb, n * n)
         self.bracket_table = np.stack([-comms.real, comms.imag], -1).reshape(nb * nb, -1).T.copy()
-        self._fd_exponentials = {}
+        self._fd_exponentials, self._structure_constants = {}, None
 
     def root_generator(self, j, k):
         """Elementary matrix E_jk (j < k gives a positive root generator)."""
@@ -270,9 +270,12 @@ class AlgebraContext:
         return np.concatenate([self.compact_coords(a), self.compact_coords(b)], axis=-1)
 
     def structure_constants(self):
-        """f[a, c, e] with [t_a, t_c] = sum_e f[a,c,e] t_e over the real basis."""
-        rb = self.real_basis
-        return self.real_coords(rb[:, None] @ rb - rb @ rb[:, None])
+        """f[a, c, e] with [t_a, t_c] = sum_e f[a,c,e] t_e over the real basis, built once."""
+        if self._structure_constants is None:
+            rb = self.real_basis
+            self._structure_constants = self.real_coords(rb[:, None] @ rb - rb @ rb[:, None])
+            self._structure_constants.flags.writeable = False
+        return self._structure_constants
 
     def fd_exponentials(self, h):
         """``(exp(h t_a), exp(-h t_a))`` over the real basis, built once per step."""
@@ -463,7 +466,7 @@ def r_matrix(ctx, t, u=None):
 def cybe_residual(ctx, coeff):
     """Max-norm of [r12,r13] + [r12,r23] + [r13,r23] in the real tensor cube."""
     f = ctx.structure_constants()
-    t1 = np.einsum("ab,cd,ace->ebd", coeff, coeff, f)
-    t2 = np.einsum("ab,cd,bce->aed", coeff, coeff, f)
-    t3 = np.einsum("ab,cd,bde->ace", coeff, coeff, f)
-    return float(np.max(np.abs(t1 + t2 + t3)))
+    first, second = np.einsum("ab,ace->bce", coeff, f), np.einsum("ab,bce->ace", coeff, f)
+    total = (np.einsum("bce,cd->ebd", first, coeff) + np.einsum("ace,cd->aed", second, coeff)
+             + np.einsum("cd,ade->ace", coeff, second))
+    return float(np.max(np.abs(total)))

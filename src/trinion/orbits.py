@@ -139,11 +139,27 @@ def diag_dressing(ctx, k, points, u=None):
 # solvers
 # ---------------------------------------------------------------------------
 
+def _products(a, b):
+    """``a @ b`` over leading axes by ``n`` broadcast multiply-adds, not one BLAS call per
+    matrix; every matrix gets the same arithmetic, so its bits do not depend on the stack."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
 def _exp_su(ctx, w):
-    """Exponential of anti-Hermitian matrices (over leading axes) via eigendecomposition."""
+    """Exponential of anti-Hermitian matrices over leading axes: on su(2), where ``w^2 = -r^2 I``
+    with ``r^2 = det w``, ``cos r I + (sin r / r) w``, else from an eigendecomposition."""
     # not lie_core._expm: its Taylor degree follows the stack's largest norm, coupling the rows
+    if ctx.n == 2:
+        r = np.sqrt((w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]).real)
+        r = np.maximum(r, np.finfo(float).tiny)  # not 0 / 0; sin r / r is 1 down there
+        out = (np.sin(r) / r)[..., None, None] * w
+        out.reshape(out.shape[:-2] + (4,))[..., ::3] += np.cos(r)[..., None]
+        return out
     vals, vecs = np.linalg.eigh(1j * w)
-    return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _products(vecs * np.exp(-1j * vals)[..., None, :], vecs.conj().swapaxes(-1, -2))
 
 
 _MAX_ITER = 200
@@ -178,11 +194,12 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, labels, tol):
     same way, and ``jacobian(state)`` the derivative of each f along
     ``k_i -> exp(s t_b) k_i``.  Every row keeps its own damping, best
     residual and stall reference, and only rows still running are evaluated,
-    so a row's result does not depend on the rest of the stack.  A row
-    stops at ``tol``, after ``_MAX_ITER`` iterations, when its damping passes
-    1e8, or on a residual far above ``tol`` that 12 iterations cut by under
-    10%.  Returns the final ``ks``, the best residual and the iteration count
-    of each row.
+    so a row's result does not depend on the rest of the stack; rows never
+    share a BLAS product, and at n = 2 the retraction's exponential is closed
+    form (``_exp_su``).  A row stops at ``tol``, after ``_MAX_ITER``
+    iterations, when its damping passes 1e8, or on a residual far above
+    ``tol`` that 12 iterations cut by under 10%.  Returns the final ``ks``,
+    the best residual and the iteration count of each row.
     """
     nb = ctx.dim_compact
     ks = np.array(ks)
@@ -202,9 +219,8 @@ def _levenberg_marquardt(ctx, residual, jacobian, ks, labels, tol):
         jt = jac.swapaxes(-1, -2)
         rhs = -(jt @ f[live][..., None])
         step, singular = _damped_steps(jt @ jac + lam[live, None, None] * eye, rhs)
-        turn = _exp_su(ctx, np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb),
-                                      ctx.compact_basis))
-        new_ks = turn @ ks[live]
+        w = np.einsum("...a,aij->...ij", step.reshape(-1, 3, nb), ctx.compact_basis.view(float))
+        new_ks = _products(_exp_su(ctx, w.view(complex)), ks[live])
         new_state, f_new = residual(new_ks, labels[live])
         new_best = _norms(f_new)
         better = new_best < best[live]
@@ -258,15 +274,14 @@ def _zero_residual(ctx, ks, diags):
     """The triple ``k_i I(H_i) k_i^{-1}`` and the coordinates ``-Re tr(t_b m)`` of its sum m.
 
     ``diags`` holds the diagonals ``i theta_i`` of the ``I(H_i)``; scaling
-    the columns of ``k_i`` by them gives the bits of ``k_i @ I(H_i)``, since
-    the product's zero terms add exactly.  The coordinates are summed in a
-    fixed order, so a row's residual does not depend on the stack it is
-    evaluated in.
+    the columns of ``k_i`` by them gives ``k_i I(H_i)``.  As ``t_b`` is
+    anti-Hermitian, ``-Re tr(t_b m)`` is the dot product of the real views of
+    ``t_b`` and ``m``.  Both steps are elementwise and summed in a fixed
+    order, so a row's residual does not depend on the stack it is evaluated in.
     """
-    xs = (ks * diags[..., None, :]) @ ks.conj().swapaxes(-1, -2)
-    m = (xs[..., 0, :, :] + xs[..., 1, :, :] + xs[..., 2, :, :]).swapaxes(-1, -2)[..., None, :, :]
-    basis = ctx.compact_basis
-    return xs, -(basis.real * m.real - basis.imag * m.imag).sum(-1).sum(-1)
+    xs = _products(ks * diags[..., None, :], ks.conj().swapaxes(-1, -2))
+    m = xs.sum(-3).reshape(xs.shape[:-3] + (1, ctx.n ** 2)).view(float)
+    return xs, (m * ctx.compact_basis.reshape(ctx.dim_compact, -1).view(float)).sum(-1)
 
 
 def _commutator_coords(ctx, xs):

@@ -177,7 +177,8 @@ def _sampled_spectra(ctx, rng, lo=0.15, hi=0.6):
 
 
 def _horn_margin(thetas):
-    """Smallest slack of Horn's inequalities for a zero sum with spectra ``thetas``.
+    """Smallest slack of Horn's inequalities for a zero sum with spectra ``thetas``, shape
+    ``(..., 3, n)``: a float for one triple, an array over the leading axes of a batch.
 
     With ``a``, ``b`` the decreasing spectra of ``-i X1``, ``-i X2`` and ``c``
     that of ``i X3``, the bounds are ``c_k <= a_i + b_j`` for ``i + j = k + 1``
@@ -187,12 +188,12 @@ def _horn_margin(thetas):
     (1998); Knutson-Tao, JAMS 12 (1999)), so there a triple is feasible
     exactly when the margin is nonnegative.
     """
-    a, b = (np.sort(t)[::-1] for t in thetas[:2])
-    c = np.sort(-np.asarray(thetas[2]))[::-1]
-    n = len(c)
-    slack = [a[i] + b[j] - c[i + j] for i in range(n) for j in range(n - i)]
-    slack += [c[i + j + 1 - n] - a[i] - b[j] for i in range(n) for j in range(n - 1 - i, n)]
-    return float(min(slack))
+    a, b, c = np.moveaxis(np.sort(np.asarray(thetas) * [[1], [1], [-1]])[..., ::-1], -2, 0)
+    n = c.shape[-1]
+    slack = [a[..., i] + b[..., j] - c[..., i + j] for i in range(n) for j in range(n - i)]
+    slack += [c[..., i + j + 1 - n] - a[..., i] - b[..., j]
+              for i in range(n) for j in range(n - 1 - i, n)]
+    return np.min(slack, axis=0)
 
 
 def _gauge_fixed_solutions(ctx, seed, count, lo=0.15, hi=0.6):
@@ -491,19 +492,20 @@ def suite_moment_oracle(seed=0, ns=(2,), grid=10, restarts=6, draws=60):
             continue
         seeds = [(seed, k) for k in range(1, len(triples) + 1)]
         sols = _solve_zero(ctx, triples, seeds, tol, restarts)
-        mismatches, worst_feasible, worst_gap, below = 0, 0.0, 0.0, 0
-        for hs, sol in zip(triples, sols):
-            margin = _horn_margin([h.theta for h in hs])
-            got = not isinstance(sol, NoSolution)
-            if got != (margin >= -1e-12):
-                mismatches += 1
-            elif got:  # from the points: the solver's own residual is at most tol by construction
-                worst_feasible = max(worst_feasible, np.linalg.norm(sum(p.X for p in sol.points)),
-                                     *(p.spectrum_residual() for p in sol.points))
-            else:
-                floor = np.sqrt(n / (n - 1)) * abs(margin)
-                worst_gap = max(worst_gap, abs(sol.best_residual - floor) / floor)
-                below += sol.best_residual < floor - tol
+        thetas = np.array([[h.theta for h in hs] for hs in triples])
+        margin = _horn_margin(thetas)
+        got = np.array([not isinstance(sol, NoSolution) for sol in sols])
+        feasible = margin >= -1e-12
+        solved, failed = np.flatnonzero(got & feasible), np.flatnonzero(~got & ~feasible)
+        # from the points: the solver's own residual is at most tol by construction
+        xs = np.array([[p.X for p in sols[i].points] for i in solved]).reshape(-1, 3, n, n)
+        spectra = np.sort(np.linalg.eigvalsh(-1j * xs))[..., ::-1]
+        worst_feasible = max([0.0, *np.abs(spectra - thetas[solved]).ravel(),
+                              *(np.linalg.norm(x[0] + x[1] + x[2]) for x in xs)])
+        best = np.array([sols[i].best_residual for i in failed])
+        floor = np.sqrt(n / (n - 1)) * np.abs(margin[failed])
+        worst_gap = np.max(np.abs(best - floor) / floor, initial=0.0)
+        below, mismatches = np.sum(best < floor - tol), np.sum(got != feasible)
         rec.append(CheckRecord(f"moment.oracle_agreement.n{n}", float(mismatches), 0.0, 0.0))
         if n == 2:
             rec.append(CheckRecord("moment.feasible_residual.n2", worst_feasible, tol, 0.0))

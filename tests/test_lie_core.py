@@ -229,6 +229,20 @@ def test_rmatrix_cybe_and_reality():
             assert np.max(np.abs(op_p.conj().T - op_m)) < 1e-12
 
 
+def test_cybe_residual_matches_the_three_operand_contraction():
+    """The two-step contractions give the three-operand einsum's value on random tensors, which
+    break the CYBE; the structure constants are built once per context and read-only."""
+    for n in (2, 3):
+        ctx = build_algebra(n)
+        f = ctx.structure_constants()
+        assert ctx.structure_constants() is f and not f.flags.writeable
+        coeff = np.random.default_rng(n).normal(size=(2 * ctx.dim_compact,) * 2)
+        want = np.max(np.abs(np.einsum("ab,cd,ace->ebd", coeff, coeff, f)
+                             + np.einsum("ab,cd,bce->aed", coeff, coeff, f)
+                             + np.einsum("ab,cd,bde->ace", coeff, coeff, f)))
+        assert want > 1.0 and abs(cybe_residual(ctx, coeff) - want) <= 1e-12 * want
+
+
 def test_rmatrix_zero_scale():
     ctx = build_algebra(2)
     rm = r_matrix(ctx, 0.0)

@@ -13,8 +13,8 @@ from trinion.graph_poisson import chi_map, figure_three
 from trinion.holonomy import holonomy, xi_map
 from trinion.lie_core import build_algebra, pair, weyl_normalize
 from trinion.orbits import (DressingOrbitPoint, MomentSolution, NoSolution, OrbitPoint,
-                            _commutator_coords, _damped_steps, _dressing_jacobian,
-                            _kstar_residual, _levenberg_marquardt, _solve, _solve_zero,
+                            _commutator_coords, _damped_steps, _dressing_jacobian, _exp_su,
+                            _kstar_residual, _levenberg_marquardt, _products, _solve, _solve_zero,
                             _zero_residual, diag_coadjoint, diag_dressing, gauge_fix, kk_bracket,
                             solve_moment_kstar, solve_moment_zero, tangent_rank)
 
@@ -347,6 +347,46 @@ def test_zero_level_jacobian_matches_central_differences(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_exp_su_matches_scipy(n):
+    """The retraction's exponential (closed form at n = 2, eigendecomposition at n = 3) against
+    ``scipy.linalg.expm`` from ``|w| = 0`` to ``1e6``: entrywise within ``1e-14 max(1, |w|)``,
+    and unitary."""
+    ctx, rng = build_algebra(n), np.random.default_rng((n, 51))
+    for size in (0.0, 1e-300, 1e-150, 1e-12, 1e-6, 1e-2, 1.0, 3.0, 1e2, 1e4, 1e6):
+        for _ in range(5):
+            c = rng.normal(size=ctx.dim_compact)
+            # the basis is orthonormal for -tr(xy), the Frobenius product on su(n): |w| = size
+            w = np.einsum("a,aij->ij", size * c / np.linalg.norm(c), ctx.compact_basis)
+            got = _exp_su(ctx, w)
+            assert np.max(np.abs(got - expm(w))) <= 1e-14 * max(1.0, size), size
+            assert np.max(np.abs(got @ got.conj().T - np.eye(n))) <= 1e-14, size
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_iteration_products_do_not_couple_rows(n):
+    """``_exp_su``, ``_products`` and ``_zero_residual`` give each row of a stack of 1, 2, 31 or
+    100 rows the bits it gets alone, so no product may run across the rows of a stack."""
+    ctx, rng = build_algebra(n), np.random.default_rng((n, 53))
+    diags = 1j * np.array([weyl_normalize(v - v.mean()).theta
+                           for v in rng.normal(0.0, 0.5, (3, n))])
+    fixed = ctx.random_unitary(rng)
+    for rows in (1, 2, 31, 100):
+        coords = rng.normal(size=(rows, 3, ctx.dim_compact))
+        w = np.einsum("...a,aij->...ij", 10.0 ** rng.uniform(-8, 1, (rows, 3, 1)) * coords,
+                      ctx.compact_basis)
+        ks = ctx.random_unitary(rng, (rows, 3))
+        turn, (xs, f) = _exp_su(ctx, w), _zero_residual(ctx, ks, diags)
+        moved, shared = _products(turn, ks), _products(ks, fixed)
+        for r in range(rows):
+            assert np.array_equal(turn[r], _exp_su(ctx, w[r]))
+            assert np.array_equal(turn[r, 1], _exp_su(ctx, w[r, 1]))
+            assert np.array_equal(moved[r], _products(turn[r], ks[r]))
+            assert np.array_equal(shared[r], _products(ks[r], fixed))
+            alone = _zero_residual(ctx, ks[r], diags)
+            assert np.array_equal(xs[r], alone[0]) and np.array_equal(f[r], alone[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_solve_starts_equal_single_haar_draws(n, monkeypatch):
     """``_solve`` draws every row's normals from its own generator and turns the whole stack
     into unitaries at once; each start is bit-equal to that generator's own Haar draw."""
@@ -483,13 +523,21 @@ def test_horn_margin_is_the_triangle_rule_at_n2():
     from trinion.verify import _horn_margin
 
     values = np.linspace(0.1, 1.0, 10)
-    verdicts = set()
+    verdicts, batch = set(), []
     for th in itertools.product(values, repeat=3):
         thetas = [[x, -x] for x in th]
         rule = 2 * max(th) <= sum(th) + 1e-12
         assert (_horn_margin(thetas) >= -1e-12) == rule, th
         verdicts.add(rule)
+        batch.append(thetas)
     assert verdicts == {True, False}
+    # a batch gives each triple's own margin, bit for bit, at n = 2 and 3
+    thetas = np.random.default_rng(7).normal(size=(50, 3, 3))
+    for stack in (np.array(batch), thetas, thetas.reshape(5, 10, 3, 3)):
+        margins = _horn_margin(stack)
+        assert margins.shape == stack.shape[:-2]
+        singles = [_horn_margin(t) for t in stack.reshape(-1, 3, stack.shape[-1])]
+        assert np.array_equal(margins.ravel(), singles)
 
 
 def test_horn_margin_matches_the_solver_at_n3():
